@@ -362,10 +362,3 @@ def _concat_batches(chunks, left, right):
         name: np.concatenate([chunk[name] for chunk in chunks])
         for name in names
     }
-
-
-def _find(plan, node_id):
-    for node in plan.walk():
-        if node.node_id == node_id:
-            return node
-    raise ExecutionError("plan has no node %r" % node_id)

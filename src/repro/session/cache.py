@@ -55,9 +55,8 @@ class SpaceKey:
     """Content address of one built exploration space.
 
     Everything that changes the build output is part of the key;
-    anything that merely changes *how fast* it is built (``workers``)
-    is deliberately excluded, so a parallel exact build and a serial
-    one resolve to the same artifact.
+    anything that merely changes *how fast* it is built (the grid
+    kernel) is deliberately excluded.
     """
 
     __slots__ = ("query_name", "epps", "tables", "catalog", "resolution",

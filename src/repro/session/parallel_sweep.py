@@ -107,8 +107,7 @@ def _validate(driver, algorithms):
 # worker side
 #
 # Per-process state, initialised once per worker from the declarative
-# config (the same pattern as repro.ess.parallel). Engine/session state
-# is *rehydrated*, never shipped: the config holds only names, numbers,
+# config. Engine/session state is *rehydrated*, never shipped: the config holds only names, numbers,
 # Query objects and a RetryPolicy.
 
 _WORKER = {}

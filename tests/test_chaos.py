@@ -149,27 +149,45 @@ def test_fault_plan_round_trips_through_dict():
 
 
 def test_schedule_matches_engine_behaviour(toy_space):
-    """The advertised schedule is what FaultyEngine actually injects."""
+    """The advertised schedule is what FaultyEngine actually injects,
+    for plain and spill executions (monitor corruption included)."""
+    qa = (3, 7)
     plan = FaultPlan(crash_rate=0.3, transient_rate=0.2,
-                     drift_rate=0.4, seed=13)
-    predicted = plan.schedule(30, mode="execute")
-    clean = SimulatedEngine(toy_space, (3, 7))
-    faulty = FaultyEngine(toy_space, (3, 7), plan=plan)
+                     corruption_rate=0.4, drift_rate=0.4, seed=13)
+    clean = SimulatedEngine(toy_space, qa)
     plan_info = toy_space.plans[0]
-    budget = plan_info.cost[(3, 7)] * 2.0
-    for decision in predicted:
-        baseline = clean.execute(plan_info, budget)
-        try:
-            outcome = faulty.execute(plan_info, budget)
-        except Exception as exc:
-            kind = type(exc).__name__
-            observed = {"TransientEngineError": "transient",
-                        "EngineCrashError": "crash"}[kind]
-            assert decision["fault"] == observed, decision
-            continue
-        if decision["fault"] == "drift":
-            expected = baseline.spent * decision["drift_factor"]
-            assert outcome.spent == pytest.approx(expected)
-        else:
-            assert decision["fault"] is None, decision
-            assert outcome.spent == baseline.spent
+    budget = plan_info.cost[qa] * 2.0
+    spill_info = toy_space.optimal_plan(qa)
+    epp, node = spill_info.spill_target(set(toy_space.query.epps))
+    resolution = len(
+        toy_space.grid.values[toy_space.query.epp_index(epp)])
+    runs = {
+        "execute": lambda engine: engine.execute(plan_info, budget),
+        "spill": lambda engine: engine.execute_spill(
+            spill_info, epp, node, spill_info.cost[qa] * 0.5),
+    }
+    for mode, run in runs.items():
+        predicted = plan.schedule(30, mode=mode, resolution=resolution)
+        if mode == "spill":
+            assert any(d["fault"] == "corrupt" for d in predicted)
+        faulty = FaultyEngine(toy_space, qa, plan=plan)
+        for decision in predicted:
+            baseline = run(clean)
+            try:
+                outcome = run(faulty)
+            except Exception as exc:
+                kind = type(exc).__name__
+                observed = {"TransientEngineError": "transient",
+                            "EngineCrashError": "crash"}[kind]
+                assert decision["fault"] == observed, decision
+                continue
+            assert decision["fault"] in (None, "corrupt", "drift"), \
+                decision
+            if "drift_factor" in decision:
+                expected = baseline.spent * decision["drift_factor"]
+                assert outcome.spent == pytest.approx(expected)
+            else:
+                assert outcome.spent == baseline.spent
+            if mode == "spill":
+                assert outcome.learned_index == decision.get(
+                    "learned_index", baseline.learned_index)

@@ -62,6 +62,12 @@ class TestFaultPlan:
     def test_describe(self):
         assert FaultPlan().describe() == "clean"
         assert FaultPlan(crash_rate=0.2).describe() == "crash=0.2"
+        # Forced faults are adversity too: a plan that crashes at call 3
+        # is not "clean".
+        assert FaultPlan(crash_on_calls=(3,)).describe() == "forced=1"
+        assert FaultPlan(transient_rate=0.1, crash_rate=0.2,
+                         transient_on_calls=(1, 2)).describe() \
+            == "crash=0.2,transient=0.1,forced=2"
 
 
 class TestFaultInjection:

@@ -162,6 +162,13 @@ class TestBackendFaultPlan:
         assert not BackendFaultPlan(fail_rate=0.01).is_clean
         assert not BackendFaultPlan(fail_on_calls=(1,)).is_clean
 
+    def test_describe(self):
+        assert BackendFaultPlan().describe() == "clean"
+        plan = BackendFaultPlan(fail_rate=0.3, seed=4,
+                                fail_on_calls=(1, 2))
+        assert plan.describe() == "fail=0.3,forced=2"
+        assert repr(plan) == "BackendFaultPlan(fail=0.3,forced=2, seed=4)"
+
 
 class _InnerBackend:
     backend_name = "sqlite"
