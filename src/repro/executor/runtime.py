@@ -24,15 +24,16 @@ catalogs -- the MSO studies run on the cost-model simulator, exactly as
 the calibration note prescribes.
 """
 
-import math
-
 from repro.common.errors import BudgetExhaustedError, ExecutionError
 from repro.cost.params import CostParams
+from repro.ir import costing
 from repro.ir.contracts import (
     CostMeter,
     ExecutionResult,
     IRBackend,
     JoinMonitor,
+    base_table,
+    join_keys,
     snapshot_monitors,
 )
 from repro.ir.lower import lower
@@ -133,20 +134,11 @@ class RowEngine(IRBackend):
         raise ExecutionError("cannot execute node %r" % type(node).__name__)
 
     def _scan(self, node, meter):
-        try:
-            columns = self.database[node.table]
-        except KeyError:
-            raise ExecutionError(
-                "database has no table %r" % node.table
-            ) from None
+        columns = base_table(self.database, node.table)
         names = list(columns)
         arrays = [columns[n] for n in names]
         n_rows = len(arrays[0]) if arrays else 0
-        width = sum(8 for _ in names)
-        rows_per_page = max(1, 8192 // max(1, width))
-        meter.charge(
-            max(1, -(-n_rows // rows_per_page)) * self.params.seq_page_cost
-        )
+        meter.charge(costing.page_cost(self.params, n_rows, len(names)))
         filters = [self._compile_filter(name) for name in node.filter_names]
         qualified = ["%s.%s" % (node.table, n) for n in names]
 
@@ -188,21 +180,9 @@ class RowEngine(IRBackend):
                 yield {c: row[c] for c in columns}
         return generate()
 
-    def _join_keys(self, node):
-        """(left_cols, right_cols) key lists for the node's predicates."""
-        left_tables = node.left.tables
-        keys = []
-        for name in node.predicate_names:
-            predicate = self.query.predicate(name)
-            if predicate.left_table in left_tables:
-                keys.append((predicate.left, predicate.right))
-            else:
-                keys.append((predicate.right, predicate.left))
-        return keys
-
     def _hash_join(self, node, meter, monitors):
         monitor = monitors.setdefault(node.origin_id, JoinMonitor())
-        keys = self._join_keys(node)
+        keys = join_keys(self.query, node)
         build_key = [right for _left, right in keys]
 
         def generate():
@@ -229,7 +209,7 @@ class RowEngine(IRBackend):
 
     def _merge_join(self, node, meter, monitors):
         monitor = monitors.setdefault(node.origin_id, JoinMonitor())
-        keys = self._join_keys(node)
+        keys = join_keys(self.query, node)
         left_key = [left for left, _right in keys]
         right_key = [right for _left, right in keys]
 
@@ -239,11 +219,7 @@ class RowEngine(IRBackend):
                 setattr(monitor, count_attr,
                         getattr(monitor, count_attr) + 1)
                 rows.append(row)
-            n = len(rows)
-            meter.charge(
-                self.params.sort_factor * self.params.cpu_operator_cost
-                * n * math.log2(max(n, 2))
-            )
+            meter.charge(costing.sort_cost(self.params, len(rows)))
             rows.sort(key=lambda r: tuple(r[c] for c in key_cols))
             return rows
 
@@ -342,12 +318,7 @@ class RowEngine(IRBackend):
         cache = self._indexes
         key = (table, column)
         if key not in cache:
-            try:
-                columns = self.database[table]
-            except KeyError:
-                raise ExecutionError(
-                    "database has no table %r" % table
-                ) from None
+            columns = base_table(self.database, table)
             names = list(columns)
             qualified = ["%s.%s" % (table, n) for n in names]
             arrays = [columns[n] for n in names]
@@ -362,7 +333,7 @@ class RowEngine(IRBackend):
 
     def _nl_join(self, node, meter, monitors):
         monitor = monitors.setdefault(node.origin_id, JoinMonitor())
-        keys = self._join_keys(node)
+        keys = join_keys(self.query, node)
 
         def generate():
             inner = []

@@ -1,13 +1,16 @@
 """Columnar (numpy) backend: the row executor's fast sibling.
 
-Implements the same IR operators with the same cost algebra as
+Implements the same IR operators as
 :class:`repro.executor.runtime.RowEngine`, but processes whole columns
-per operator instead of tuple-at-a-time generators. A completed run
-spends the same metered cost as the row engine up to the merge join's
-loop-iteration charge (approximated as ``n_left + n_right``); only
-budget-abort behaviour differs in granularity -- the vector engine
-checks budgets at operator and probe-chunk boundaries rather than per
-tuple.
+per operator instead of tuple-at-a-time generators. Like the sqlite
+backend it is set-oriented: each operator measures its cardinalities
+(and, for the merge join, its full-key group histograms) and prices
+itself through the closed-form algebra of :mod:`repro.ir.costing`, so
+a completed run spends what the native meter charges up to float
+summation order. The verdict is ``total <= budget``; an over-budget
+run reports the budget as its spend and carries complete monitors
+(:func:`~repro.ir.contracts.over_budget_result`), which discovery
+consumes only as lower bounds.
 
 Like the row engine it is an :class:`~repro.ir.contracts.IRBackend`:
 plan trees are lowered to the relation-algebra IR and evaluation
@@ -17,18 +20,18 @@ column name -> ndarray). Equi-join matching uses sort + binary search
 afterwards.
 """
 
-import math
-
 import numpy as np
 
-from repro.common.errors import BudgetExhaustedError, ExecutionError
+from repro.common.errors import ExecutionError
 from repro.cost.params import CostParams
+from repro.ir import costing
 from repro.ir.contracts import (
-    CostMeter,
     ExecutionResult,
     IRBackend,
     JoinMonitor,
-    snapshot_monitors,
+    base_table,
+    join_keys,
+    over_budget_result,
 )
 from repro.ir.lower import lower
 from repro.ir.nodes import (
@@ -41,14 +44,14 @@ from repro.ir.nodes import (
     SpillTruncate,
 )
 
-#: Probe-side chunk size between budget checks inside join operators.
-CHUNK = 4096
-
 
 def _match_indices(left_keys, right_keys):
     """All matching index pairs of an equi-join, as (li, ri) arrays."""
     left_keys = np.asarray(left_keys)
     right_keys = np.asarray(right_keys)
+    if left_keys.size == 0 or right_keys.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
     order = np.argsort(right_keys, kind="stable")
     sorted_right = right_keys[order]
     lo = np.searchsorted(sorted_right, left_keys, side="left")
@@ -78,254 +81,131 @@ class VectorEngine(IRBackend):
     # ------------------------------------------------------------------
 
     def run(self, plan, budget=None, spill_node_id=None, keep_rows=False):
-        """Execute ``plan`` (optionally truncated at a spill node)."""
+        """Execute ``plan``; completion is the verdict ``total metered
+        cost <= budget`` over the closed-form spend (see module docs)."""
         monitors = {}
-        meter = CostMeter(budget, observer=snapshot_monitors(monitors))
         root = plan if isinstance(plan, IRNode) else lower(plan, spill_node_id)
-        try:
-            columns = self._eval(root, meter, monitors)
-            count = _batch_len(columns)
-            rows = None
-            if keep_rows:
-                names = list(columns)
-                rows = [
-                    {name: columns[name][i] for name in names}
-                    for i in range(count)
-                ]
-            return ExecutionResult(True, count, meter.spent, monitors, rows)
-        except BudgetExhaustedError as exc:
-            return ExecutionResult(False, 0, meter.spent, monitors, None,
-                                   observed=exc.observed)
+        columns, total = self._eval(root, monitors)
+        if budget is not None and total > budget:
+            return over_budget_result(budget, monitors)
+        count = _batch_len(columns)
+        rows = None
+        if keep_rows:
+            names = list(columns)
+            rows = [{name: columns[name][i] for name in names}
+                    for i in range(count)]
+        return ExecutionResult(True, count, total, monitors, rows)
 
     # ------------------------------------------------------------------
-    # operators
+    # operators: each returns ``(columns, subtree cost)``
 
-    def _eval(self, node, meter, monitors):
+    def _eval(self, node, monitors):
         if isinstance(node, Scan):
-            return self._scan(node, meter)
+            return self._scan(node)
         if isinstance(node, Join):
-            if node.strategy == "hash":
-                return self._hash_join(node, meter, monitors)
-            if node.strategy == "merge":
-                return self._merge_join(node, meter, monitors)
-            return self._nl_join(node, meter, monitors)
+            return self._join(node, monitors)
         if isinstance(node, IndexJoin):
-            return self._index_join(node, meter, monitors)
+            return self._index_join(node, monitors)
         if isinstance(node, Filter):
-            return self._filter(node, meter, monitors)
+            return self._filter(node, monitors)
         if isinstance(node, Project):
-            return self._project(node, meter, monitors)
+            batch, cost = self._eval(node.child, monitors)
+            return {name: batch[name] for name in node.columns}, cost
         if isinstance(node, SpillTruncate):
             # Truncation point: the child's batch surfaces to run(),
             # which counts (and, unless keep_rows, discards) it.
-            return self._eval(node.child, meter, monitors)
+            return self._eval(node.child, monitors)
         raise ExecutionError(
             "cannot execute node %r" % type(node).__name__)
 
-    def _scan(self, node, meter):
-        try:
-            table = self.database[node.table]
-        except KeyError:
-            raise ExecutionError(
-                "database has no table %r" % node.table) from None
-        names = list(table)
-        n_rows = len(table[names[0]]) if names else 0
-        width = 8 * len(names)
-        rows_per_page = max(1, 8192 // max(1, width))
-        params = self.params
-        meter.charge(max(1, -(-n_rows // rows_per_page))
-                     * params.seq_page_cost)
-        meter.charge(n_rows * params.cpu_tuple_cost)
+    def _filter_mask(self, n_rows, filter_names, values_of):
+        """Conjunctive filter mask plus the survivor count after each
+        filter (the short-circuit stages the cost algebra prices)."""
         mask = np.ones(n_rows, dtype=bool)
-        for name in node.filter_names:
-            # Mirrors the row engine's short-circuit charging: rows
-            # already rejected by earlier filters are not re-tested.
-            meter.charge(int(mask.sum()) * params.cpu_operator_cost)
+        survivors = []
+        for name in filter_names:
             predicate = self.query.predicate(name)
-            mask &= _apply_filter(table[predicate.column_name],
+            mask &= _apply_filter(values_of(predicate),
                                   predicate.op, predicate.constant)
+            survivors.append(int(mask.sum()))
+        return mask, survivors
+
+    def _scan(self, node):
+        table = base_table(self.database, node.table)
+        n_rows = _batch_len(table)
+        mask, survivors = self._filter_mask(
+            n_rows, node.filter_names, lambda p: table[p.column_name])
         out = {
             "%s.%s" % (node.table, name): values[mask]
             for name, values in table.items()
         }
-        meter.charge(_batch_len(out) * params.output_cost)
-        return out
+        return out, costing.scan_cost(self.params, n_rows, len(table),
+                                      survivors)
 
-    def _filter(self, node, meter, monitors):
-        batch = self._eval(node.child, meter, monitors)
-        params = self.params
-        mask = np.ones(_batch_len(batch), dtype=bool)
-        for name in node.filter_names:
-            meter.charge(int(mask.sum()) * params.cpu_operator_cost)
-            predicate = self.query.predicate(name)
-            mask &= _apply_filter(batch[predicate.column],
-                                  predicate.op, predicate.constant)
-        return {name: values[mask] for name, values in batch.items()}
+    def _filter(self, node, monitors):
+        batch, cost = self._eval(node.child, monitors)
+        n_rows = _batch_len(batch)
+        mask, survivors = self._filter_mask(
+            n_rows, node.filter_names, lambda p: batch[p.column])
+        cost += costing.filter_stage_cost(self.params, n_rows, survivors)
+        return {name: values[mask] for name, values in batch.items()}, cost
 
-    def _project(self, node, meter, monitors):
-        batch = self._eval(node.child, meter, monitors)
-        return {name: batch[name] for name in node.columns}
-
-    def _join_columns(self, node):
-        left_tables = node.left.tables
-        pairs = []
-        for name in node.predicate_names:
-            predicate = self.query.predicate(name)
-            if predicate.left_table in left_tables:
-                pairs.append((predicate.left, predicate.right))
-            else:
-                pairs.append((predicate.right, predicate.left))
-        return pairs
-
-    def _emit_pairs(self, left, right, li, ri, pairs, meter, monitor):
-        """Residual filtering + merged output assembly + charging."""
-        for l_col, r_col in pairs[1:]:
+    def _join(self, node, monitors):
+        left, left_cost = self._eval(node.left, monitors)
+        right, right_cost = self._eval(node.right, monitors)
+        n_left, n_right = _batch_len(left), _batch_len(right)
+        keys = join_keys(self.query, node)
+        l_col, r_col = keys[0]
+        li, ri = _match_indices(left[l_col], right[r_col])
+        for l_col, r_col in keys[1:]:
             keep = left[l_col][li] == right[r_col][ri]
             li, ri = li[keep], ri[keep]
-        meter.charge(li.size * self.params.output_cost)
-        monitor.out_rows += int(li.size)
-        merged = {name: values[li] for name, values in left.items()}
-        merged.update(
-            {name: values[ri] for name, values in right.items()})
-        return merged
+        out = int(li.size)
+        _complete(monitors, node, n_left, n_right, out)
 
-    def _hash_join(self, node, meter, monitors):
-        monitor = monitors.setdefault(node.origin_id, JoinMonitor())
         params = self.params
-        right = self._eval(node.right, meter, monitors)
-        n_right = _batch_len(right)
-        meter.charge(n_right * params.hash_build_cost)
-        monitor.right_rows = n_right
-        monitor.right_done = True
-        left = self._eval(node.left, meter, monitors)
-        n_left = _batch_len(left)
-        pairs = self._join_columns(node)
-        l_col, r_col = pairs[0]
-        out_chunks = []
-        for start in range(0, max(n_left, 1), CHUNK):
-            chunk = slice(start, min(start + CHUNK, n_left))
-            size = chunk.stop - chunk.start
-            if size <= 0:
-                break
-            meter.charge(size * params.hash_probe_cost)
-            monitor.left_rows += size
-            li, ri = _match_indices(left[l_col][chunk], right[r_col])
-            piece = self._emit_pairs(
-                _slice_batch(left, chunk), right, li, ri, pairs,
-                meter, monitor)
-            out_chunks.append(piece)
-        monitor.left_done = True
-        return _concat_batches(out_chunks, left, right)
+        if node.strategy == "merge":
+            iterations, _out = costing.merge_iterations(
+                _key_groups(left, [lq for lq, _rq in keys]),
+                _key_groups(right, [rq for _lq, rq in keys]))
+            cost = costing.merge_join_cost(params, n_left, n_right,
+                                           iterations, out)
+        elif node.strategy == "hash":
+            cost = costing.hash_join_cost(params, n_left, n_right, out)
+        else:
+            cost = costing.nl_join_cost(params, n_left, n_right, out)
+        return _gather(left, li, right, ri), left_cost + right_cost + cost
 
-    def _merge_join(self, node, meter, monitors):
-        monitor = monitors.setdefault(node.origin_id, JoinMonitor())
-        params = self.params
-        left = self._eval(node.left, meter, monitors)
-        n_left = _batch_len(left)
-        meter.charge(params.sort_factor * params.cpu_operator_cost
-                     * n_left * math.log2(max(n_left, 2)))
-        monitor.left_rows = n_left
-        monitor.left_done = True
-        right = self._eval(node.right, meter, monitors)
-        n_right = _batch_len(right)
-        meter.charge(params.sort_factor * params.cpu_operator_cost
-                     * n_right * math.log2(max(n_right, 2)))
-        monitor.right_rows = n_right
-        monitor.right_done = True
-        pairs = self._join_columns(node)
-        l_col, r_col = pairs[0]
-        meter.charge((n_left + n_right) * params.cpu_operator_cost)
-        li, ri = _match_indices(left[l_col], right[r_col])
-        return self._emit_pairs(left, right, li, ri, pairs, meter,
-                                monitor)
-
-    def _nl_join(self, node, meter, monitors):
-        monitor = monitors.setdefault(node.origin_id, JoinMonitor())
-        params = self.params
-        right = self._eval(node.right, meter, monitors)
-        n_right = _batch_len(right)
-        meter.charge(n_right * params.materialize_cost)
-        monitor.right_rows = n_right
-        monitor.right_done = True
-        left = self._eval(node.left, meter, monitors)
-        n_left = _batch_len(left)
-        pairs = self._join_columns(node)
-        l_col, r_col = pairs[0]
-        out_chunks = []
-        for start in range(0, max(n_left, 1), CHUNK):
-            chunk = slice(start, min(start + CHUNK, n_left))
-            size = chunk.stop - chunk.start
-            if size <= 0:
-                break
-            meter.charge(size * n_right * params.nl_compare_cost)
-            monitor.left_rows += size
-            li, ri = _match_indices(left[l_col][chunk], right[r_col])
-            piece = self._emit_pairs(
-                _slice_batch(left, chunk), right, li, ri, pairs,
-                meter, monitor)
-            out_chunks.append(piece)
-        monitor.left_done = True
-        return _concat_batches(out_chunks, left, right)
-
-    def _index_join(self, node, meter, monitors):
-        monitor = monitors.setdefault(node.origin_id, JoinMonitor())
-        params = self.params
-        outer = self._eval(node.outer, meter, monitors)
-        n_outer = _batch_len(outer)
-        try:
-            inner_table = self.database[node.inner_table]
-        except KeyError:
-            raise ExecutionError(
-                "database has no table %r" % node.inner_table) from None
+    def _index_join(self, node, monitors):
+        outer, outer_cost = self._eval(node.outer, monitors)
+        inner_table = base_table(self.database, node.inner_table)
         inner = {
             "%s.%s" % (node.inner_table, name): values
             for name, values in inner_table.items()
         }
-        n_inner = _batch_len(inner)
-        monitor.right_rows = n_inner
-        monitor.right_done = True
         predicate = self.query.predicate(node.primary_predicate)
-        outer_col = predicate.other_side(node.inner_table)
-        inner_col = "%s.%s" % (node.inner_table, node.inner_column)
-        out_chunks = []
-        for start in range(0, max(n_outer, 1), CHUNK):
-            chunk = slice(start, min(start + CHUNK, n_outer))
-            size = chunk.stop - chunk.start
-            if size <= 0:
-                break
-            meter.charge(size * params.index_lookup_cost)
-            monitor.left_rows += size
-            li, ri = _match_indices(outer[outer_col][chunk],
-                                    inner[inner_col])
-            meter.charge(li.size * params.cpu_tuple_cost)
-            monitor.out_rows += int(li.size)
-            keep = np.ones(li.size, dtype=bool)
-            for name in node.inner_filters:
-                meter.charge(int(keep.sum()) * params.cpu_operator_cost)
-                filt = self.query.predicate(name)
-                keep &= _apply_filter(
-                    inner["%s.%s" % (node.inner_table,
-                                     filt.column_name)][ri],
-                    filt.op, filt.constant)
-            li, ri = li[keep], ri[keep]
-            for name in node.predicate_names[1:]:
-                residual = self.query.predicate(name)
-                ok = (_slice_batch(outer, chunk)[residual.left][li]
-                      == inner[residual.right][ri]) \
-                    if residual.left in outer else \
-                    (_slice_batch(outer, chunk)[residual.right][li]
-                     == inner[residual.left][ri])
-                li, ri = li[ok], ri[ok]
-            meter.charge(li.size * params.output_cost)
-            piece = {
-                name: values[chunk][li]
-                for name, values in outer.items()
-            }
-            piece.update({name: values[ri] for name, values in
-                          inner.items()})
-            out_chunks.append(piece)
-        monitor.left_done = True
-        return _concat_batches(out_chunks, outer, inner)
+        li, ri = _match_indices(
+            outer[predicate.other_side(node.inner_table)],
+            inner["%s.%s" % (node.inner_table, node.inner_column)])
+        fetched = int(li.size)
+        keep, survivors = self._filter_mask(
+            fetched, node.inner_filters, lambda p: inner[p.column][ri])
+        li, ri = li[keep], ri[keep]
+
+        def side(name):
+            return outer[name][li] if name in outer else inner[name][ri]
+
+        for name in node.predicate_names[1:]:
+            residual = self.query.predicate(name)
+            ok = side(residual.left) == side(residual.right)
+            li, ri = li[ok], ri[ok]
+        # The monitor counts primary-predicate matches (fetched rows),
+        # undiluted by inner filters -- the IR monitoring contract.
+        _complete(monitors, node, _batch_len(outer), _batch_len(inner),
+                  fetched)
+        cost = costing.index_join_cost(self.params, _batch_len(outer),
+                                       fetched, survivors, int(li.size))
+        return _gather(outer, li, inner, ri), outer_cost + cost
 
 
 # ----------------------------------------------------------------------
@@ -336,10 +216,6 @@ def _batch_len(columns):
     for values in columns.values():
         return len(values)
     return 0
-
-
-def _slice_batch(columns, chunk):
-    return {name: values[chunk] for name, values in columns.items()}
 
 
 def _apply_filter(values, op, constant):
@@ -354,11 +230,28 @@ def _apply_filter(values, op, constant):
     return values == constant
 
 
-def _concat_batches(chunks, left, right):
-    names = list(left) + [n for n in right if n not in left]
-    if not chunks:
-        return {name: np.empty(0, dtype=np.int64) for name in names}
-    return {
-        name: np.concatenate([chunk[name] for chunk in chunks])
-        for name in names
-    }
+def _complete(monitors, node, left_rows, right_rows, out_rows):
+    """Record a join's complete observations (both inputs consumed)."""
+    monitor = monitors.setdefault(node.origin_id, JoinMonitor())
+    monitor.left_rows = left_rows
+    monitor.right_rows = right_rows
+    monitor.out_rows = out_rows
+    monitor.left_done = True
+    monitor.right_done = True
+
+
+def _gather(left, li, right, ri):
+    """Joined batch of matched pairs: left columns, then right's."""
+    merged = {name: values[li] for name, values in left.items()}
+    merged.update({name: values[ri] for name, values in right.items()})
+    return merged
+
+
+def _key_groups(batch, key_columns):
+    """Sorted ``[(key_tuple, count), ...]`` over a side's full join key,
+    the histogram :func:`~repro.ir.costing.merge_iterations` replays."""
+    if not _batch_len(batch):
+        return []
+    stacked = np.column_stack([batch[c] for c in key_columns])
+    keys, counts = np.unique(stacked, axis=0, return_counts=True)
+    return list(zip(map(tuple, keys.tolist()), counts.tolist()))

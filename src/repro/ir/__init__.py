@@ -12,7 +12,7 @@ executor is a backend implementing one protocol
 * :class:`~repro.ir.backends.NativeIterBackend` -- the tuple-at-a-time
   Volcano-style iterator executor (finest budget granularity);
 * :class:`~repro.ir.backends.VectorBackend` -- the columnar numpy
-  executor (operator/chunk budget granularity);
+  executor (whole-query granularity: closed-form spend and verdict);
 * :class:`~repro.ir.backends.SqliteBackend` -- compiles the same SPJ
   trees to SQL on in-memory sqlite3 (whole-query granularity), with a
   progress-handler cost meter as runaway backstop and per-join counting

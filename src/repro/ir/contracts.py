@@ -1,12 +1,9 @@
 """Cross-cutting execution contracts every IR backend implements once.
 
-These used to live inside each interpreter (the row engine defined
-:class:`CostMeter`, the vector engine cloned it as ``_Meter``, and
-:class:`~repro.executor.rowengine.RowBackedEngine` re-derived abort
-observations inline). They are contracts of the *IR layer*: whatever
-substrate executes a tree must meter cost against the same budget
-semantics, report monitors with the same lower-bound guarantees, and
-surface abort-time observations the same way.
+They are contracts of the *IR layer*: whatever substrate executes a
+tree must meter cost against the same budget semantics, report monitors
+with the same lower-bound guarantees, surface abort-time observations
+the same way, and resolve tables and join keys the same way.
 """
 
 from repro.common.errors import BudgetExhaustedError, ExecutionError
@@ -118,6 +115,42 @@ def snapshot_monitors(monitors):
     return observe
 
 
+def over_budget_result(budget, monitors):
+    """The failed verdict of a backend that judges a run in closed form.
+
+    A set-oriented backend learns the whole run's cardinalities before
+    pricing it, so when the total exceeds ``budget`` it reports what a
+    per-tuple meter would have spent by its abort -- the budget itself
+    -- with the (complete) monitors as the abort snapshot.
+    """
+    return ExecutionResult(False, 0, budget, monitors, None,
+                           observed=snapshot_monitors(monitors)())
+
+
+def base_table(database, table):
+    """Columnar arrays of base ``table``; unknown names are an
+    :class:`~repro.common.errors.ExecutionError`."""
+    try:
+        return database[table]
+    except KeyError:
+        raise ExecutionError("database has no table %r" % table) from None
+
+
+def join_keys(query, node):
+    """``(left_qualified, right_qualified)`` column pairs of a
+    :class:`~repro.ir.nodes.Join`'s predicates, primary first, each
+    oriented so its first column lies under ``node.left``."""
+    left_tables = node.left.tables
+    keys = []
+    for name in node.predicate_names:
+        predicate = query.predicate(name)
+        if predicate.left_table in left_tables:
+            keys.append((predicate.left, predicate.right))
+        else:
+            keys.append((predicate.right, predicate.left))
+    return keys
+
+
 def abort_observation(result, node_id):
     """Best-available ``(left, right, out)`` observation for ``node_id``
     from a budget-aborted run.
@@ -146,8 +179,10 @@ class IRBackend:
 
     * **metering** -- every run reports ``spent`` in cost-model units;
       with a ``budget``, completion means total metered cost stayed
-      within it. Abort granularity is backend-specific (per tuple,
-      per chunk, or whole-query) and documented per backend.
+      within it. The native interpreter aborts per tuple; the
+      set-oriented backends price a whole run through
+      :mod:`repro.ir.costing` and report an over-budget run with
+      :func:`over_budget_result`.
     * **spill truncation** -- ``spill_node_id`` truncates the plan at
       that node (:class:`~repro.ir.nodes.SpillTruncate`): its output is
       drained, counted and discarded.

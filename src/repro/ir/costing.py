@@ -1,14 +1,14 @@
 """Closed-form operator cost algebra over observed cardinalities.
 
-The interpreting backends charge their :class:`~repro.ir.contracts.CostMeter`
-as tuples flow; a set-oriented backend (sqlite) learns the cardinalities
-first and then applies the *same* charge formulas in closed form. These
-functions are that algebra, factored out so the two ways of spending
-agree: for every operator except the merge join the total is an exact
-function of input/output cardinalities, and for the merge join
-:func:`merge_iterations` replays the interpreter's merge loop over the
-sorted key-group structure, which makes even its data-dependent
-iteration count exact.
+The native interpreter charges its :class:`~repro.ir.contracts.CostMeter`
+as tuples flow; set-oriented backends replay (sqlite, vectorized): they
+learn the cardinalities first and then apply the *same* charge formulas
+in closed form. These functions are that algebra, factored out so the
+two ways of spending agree: for every operator except the merge join
+the total is an exact function of input/output cardinalities, and for
+the merge join :func:`merge_iterations` replays the interpreter's merge
+loop over the sorted key-group structure, which makes even its
+data-dependent iteration count exact.
 """
 
 import math
@@ -74,7 +74,7 @@ def index_join_cost(params, outer_n, fetched_n, survivors, emitted_n):
 
     ``survivors`` are the fetched-row counts surviving each inner-filter
     prefix (short-circuit, like scan filters); residual join predicates
-    are evaluated free of charge, mirroring the interpreters.
+    are evaluated free of charge, mirroring the native interpreter.
     """
     return (outer_n * params.index_lookup_cost
             + fetched_n * params.cpu_tuple_cost

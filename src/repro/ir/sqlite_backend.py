@@ -31,8 +31,7 @@ How the contracts map onto a set-oriented engine:
   anything it has the complete counts, so even a failed-verdict run
   carries *complete* monitors (done flags set) and exact abort
   observations. Discovery only consumes them as lower bounds, so the
-  extra precision is sound -- this is the set-oriented analogue of the
-  vector engine's chunk-granular observations.
+  extra precision is sound.
 * **spill truncation** -- a :class:`~repro.ir.nodes.SpillTruncate` root
   compiles to a ``COUNT(*)`` over the truncated subtree.
 """
@@ -47,7 +46,9 @@ from repro.ir.contracts import (
     ExecutionResult,
     IRBackend,
     JoinMonitor,
-    snapshot_monitors,
+    base_table,
+    join_keys,
+    over_budget_result,
 )
 from repro.ir.lower import lower
 from repro.ir.nodes import (
@@ -133,12 +134,7 @@ class SqliteBackend(IRBackend):
         return self._conn
 
     def _table_rows(self, table):
-        try:
-            columns = self.database[table]
-        except KeyError:
-            raise ExecutionError(
-                "database has no table %r" % table) from None
-        for values in columns.values():
+        for values in base_table(self.database, table).values():
             return len(values)
         return 0
 
@@ -161,18 +157,11 @@ class SqliteBackend(IRBackend):
         except sqlite3.OperationalError:
             # The progress-handler meter interrupted a runaway
             # statement; report the abort like a native budget abort.
-            return ExecutionResult(
-                False, 0, budget, monitors, None,
-                observed=snapshot_monitors(monitors)())
+            return over_budget_result(budget, monitors)
         finally:
             remove()
         if budget is not None and total > budget:
-            # Over-budget verdict. The native engine stops charging the
-            # moment it crosses the budget, so the comparable spend is
-            # the budget itself, not the full modelled total.
-            return ExecutionResult(
-                False, 0, budget, monitors, None,
-                observed=snapshot_monitors(monitors)())
+            return over_budget_result(budget, monitors)
         return ExecutionResult(True, rel.rows, total, monitors, rows)
 
     def _install_guard(self, conn, budget):
@@ -236,12 +225,8 @@ class SqliteBackend(IRBackend):
         return "%s %s %s" % (_q(column), op, _const(predicate.constant))
 
     def _build_scan(self, node, conn):
+        columns = list(base_table(self.database, node.table))
         n_rows = self._table_rows(node.table)
-        try:
-            columns = list(self.database[node.table])
-        except KeyError:
-            raise ExecutionError(
-                "database has no table %r" % node.table) from None
         select = ", ".join(
             "%s AS %s" % (_q(c), _q("%s.%s" % (node.table, c)))
             for c in columns)
@@ -278,22 +263,10 @@ class SqliteBackend(IRBackend):
                                           survivors)
         return _Rel(sql, child.columns, out), cost
 
-    def _join_keys(self, node):
-        """``(left_qualified, right_qualified)`` key pairs, left first."""
-        left_tables = node.left.tables
-        keys = []
-        for name in node.predicate_names:
-            predicate = self.query.predicate(name)
-            if predicate.left_table in left_tables:
-                keys.append((predicate.left, predicate.right))
-            else:
-                keys.append((predicate.right, predicate.left))
-        return keys
-
     def _build_join(self, node, conn, monitors):
         left, left_cost = self._build(node.left, conn, monitors)
         right, right_cost = self._build(node.right, conn, monitors)
-        keys = self._join_keys(node)
+        keys = join_keys(self.query, node)
         on = " AND ".join(
             "l.%s = r.%s" % (_q(lq), _q(rq)) for lq, rq in keys)
         select = ", ".join(

@@ -3,11 +3,13 @@
 The paper's claim is that robust discovery is a property of the
 algorithm + cost contract, not of any particular execution engine. The
 IR makes that testable: over randomized catalogs, skews and queries,
-SpillBound driven by the tuple-at-a-time interpreter and by the sqlite
-SQL compiler must walk the *same* discovery trajectory -- identical
-completion verdicts, identical learned grid indices from completed
-spills, identical execution transcripts -- and all three backends must
-report identical result cardinalities for unbudgeted runs.
+SpillBound driven by the tuple-at-a-time interpreter and by each
+set-oriented backend -- the sqlite SQL compiler and the numpy vector
+engine, both pricing through the closed forms of :mod:`repro.ir.costing`
+-- must walk the *same* discovery trajectory: identical completion
+verdicts, identical learned grid indices from completed spills,
+identical execution transcripts. All three backends must also report
+identical result cardinalities for unbudgeted runs.
 """
 
 import numpy as np
@@ -73,19 +75,18 @@ def transcript(result):
             for r in result.executions]
 
 
-@pytest.mark.parametrize("seed", range(CASES))
-def test_native_and_sqlite_walk_identical_trajectories(seed):
+def assert_walks_native_trajectory(seed, backend):
+    """SpillBound on ``backend`` replays the native interpreter's run."""
     space, database = make_case(seed)
     native = RowBackedEngine(space, database, delta=1.0,
                              backend="native")
-    sqlite = RowBackedEngine(space, database, delta=1.0,
-                             backend="sqlite")
+    other = RowBackedEngine(space, database, delta=1.0, backend=backend)
     # Both substrates snap the same data to the same hidden truth.
-    assert sqlite.qa_index == native.qa_index
+    assert other.qa_index == native.qa_index
 
     contours = ContourSet(space)
     a = SpillBound(space, contours).run(native.qa_index, engine=native)
-    b = SpillBound(space, contours).run(sqlite.qa_index, engine=sqlite)
+    b = SpillBound(space, contours).run(other.qa_index, engine=other)
 
     assert transcript(b) == transcript(a)
     # Completed spills are exact learning events: same epp, same
@@ -103,9 +104,19 @@ def test_native_and_sqlite_walk_identical_trajectories(seed):
         else:
             # Failed runs differ only by abort granularity: the native
             # meter overshoots the budget by its final per-tuple
-            # charge, sqlite reports the budget itself.
+            # charge, a closed-form verdict reports the budget itself.
             assert rb.spent == pytest.approx(ra.spent, rel=1e-4)
     assert b.sub_optimality == pytest.approx(a.sub_optimality, rel=1e-4)
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_native_and_sqlite_walk_identical_trajectories(seed):
+    assert_walks_native_trajectory(seed, "sqlite")
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_native_and_vectorized_walk_identical_trajectories(seed):
+    assert_walks_native_trajectory(seed, "vectorized")
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11])

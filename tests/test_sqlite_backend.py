@@ -4,7 +4,8 @@ The backend's promise is *exact* agreement with the tuple-at-a-time
 interpreter on everything discovery consumes: spend of completed runs,
 row counts, monitor counters and spill semantics -- plus the sqlite-only
 machinery (budget verdicts from the closed-form model, the
-progress-handler runaway guard).
+progress-handler runaway guard). The closed-form verdict tests also run
+against the vector engine, which judges runs the same way.
 """
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from repro.catalog.datagen import generate_database
 from repro.catalog.schema import Catalog, Column, Table
 from repro.common.errors import ExecutionError
+from repro.executor.vectorized import VectorEngine
 from repro.ir import sqlite_backend
 from repro.ir.backends import NativeIterBackend
 from repro.ir.costing import merge_iterations
@@ -126,26 +128,37 @@ class TestExactAgreementWithNative:
         assert set(b.monitors) == set(a.monitors) == {spill_id}
 
 
+#: Set-oriented backends whose verdict is the closed form ``total <=
+#: budget``.
+CLOSED_FORM = pytest.mark.parametrize(
+    "backend_cls", [SqliteBackend, VectorEngine],
+    ids=["sqlite", "vectorized"])
+
+
 class TestBudgetVerdicts:
-    def test_over_budget_reports_budget_as_spend(self, sqlite_setup):
+    @CLOSED_FORM
+    def test_over_budget_reports_budget_as_spend(self, sqlite_setup,
+                                                 backend_cls):
         query, database = sqlite_setup
-        sqlite = SqliteBackend(database, query)
+        backend = backend_cls(database, query)
         plan = plans(query)["hash-hash"]
-        full = sqlite.run(plan, budget=None).spent
-        partial = sqlite.run(plan, budget=full * 0.5)
+        full = backend.run(plan, budget=None).spent
+        partial = backend.run(plan, budget=full * 0.5)
         assert not partial.completed
         assert partial.spent == pytest.approx(full * 0.5)
         assert partial.row_count == 0
 
-    def test_failed_run_still_carries_full_observations(self, sqlite_setup):
-        """Whole-query abort granularity: by the time sqlite reports,
-        counts are complete, so monitors are done and the abort snapshot
-        is exact (sound as a lower bound)."""
+    @CLOSED_FORM
+    def test_failed_run_still_carries_full_observations(self, sqlite_setup,
+                                                        backend_cls):
+        """Whole-query abort granularity: by the time the backend
+        reports, counts are complete, so monitors are done and the abort
+        snapshot is exact (sound as a lower bound)."""
         query, database = sqlite_setup
-        sqlite = SqliteBackend(database, query)
+        backend = backend_cls(database, query)
         plan = plans(query)["hash-hash"]
-        full = sqlite.run(plan, budget=None)
-        partial = sqlite.run(plan, budget=full.spent * 0.5)
+        full = backend.run(plan, budget=None)
+        partial = backend.run(plan, budget=full.spent * 0.5)
         assert partial.observed is not None
         for nid, monitor in full.monitors.items():
             assert partial.observed[nid] == (

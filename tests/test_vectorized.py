@@ -40,7 +40,8 @@ def vec_setup():
             make_join("oc", "orders.o_cust", "cust.c_id"),
             make_join("cr", "cust.c_region", "region.r_id"),
         ],
-        [make_filter("cheap", "orders.o_total", "<", 20)],
+        [make_filter("cheap", "orders.o_total", "<", 20),
+         make_filter("near", "cust.c_region", "<", 3)],
         epps=("oc", "cr"),
     )
     database = generate_database(catalog, rng=3)
@@ -75,8 +76,11 @@ class TestMatchIndices:
         assert got == expected
 
     def test_empty_inputs(self):
-        li, ri = _match_indices(np.array([1, 2]), np.array([], dtype=int))
-        assert li.size == 0 and ri.size == 0
+        empty = np.array([], dtype=int)
+        for left, right in ((np.array([1, 2]), empty),
+                            (empty, np.array([1, 2]))):
+            li, ri = _match_indices(left, right)
+            assert li.size == 0 and ri.size == 0
 
 
 class TestOperatorEquivalence:
@@ -90,25 +94,18 @@ class TestOperatorEquivalence:
         assert vec_result.completed
         assert vec_result.row_count == row_result.row_count
 
-    @pytest.mark.parametrize("join_cls", [HashJoin, NestedLoopJoin])
+    @pytest.mark.parametrize("join_cls",
+                             [HashJoin, MergeJoin, NestedLoopJoin])
     def test_spent_identical_for_hash_and_nl(self, vec_setup, join_cls):
-        """Hash/NL charge formulas are data-independent per row, so the
-        metered cost of a completed run is identical to the row engine."""
+        """The closed-form spend of a completed run equals the row
+        engine's metered spend for every join class -- the merge join
+        included, whose iteration count is replayed from full-key group
+        histograms."""
         query, database = vec_setup
         plan = two_join_plan(join_cls)
         row_spent = RowEngine(database, query).run(plan).spent
         vec_spent = VectorEngine(database, query).run(plan).spent
         assert vec_spent == pytest.approx(row_spent, rel=1e-12)
-
-    def test_merge_spent_close(self, vec_setup):
-        """The row engine's merge loop charges per comparison step; the
-        vector engine charges the model's (L+R) term -- close, not
-        identical."""
-        query, database = vec_setup
-        plan = two_join_plan(MergeJoin)
-        row_spent = RowEngine(database, query).run(plan).spent
-        vec_spent = VectorEngine(database, query).run(plan).spent
-        assert vec_spent == pytest.approx(row_spent, rel=0.1)
 
     def test_monitor_selectivities_match(self, vec_setup):
         query, database = vec_setup
@@ -121,14 +118,24 @@ class TestOperatorEquivalence:
         assert vec_sel == pytest.approx(row_sel)
 
     def test_index_join_matches_row_engine(self, vec_setup):
+        """Inner filters are charged on fetched rows only; the monitor
+        counts fetched rows, undiluted by the filter."""
         query, database = vec_setup
-        plan = finalize_plan(IndexNLJoin(
-            SeqScan("orders", ("cheap",)), ("oc",), "cust", "c_id"))
-        row_result = RowEngine(database, query).run(plan)
-        vec_result = VectorEngine(database, query).run(plan)
-        assert vec_result.row_count == row_result.row_count
-        assert vec_result.spent == pytest.approx(row_result.spent,
-                                                 rel=1e-12)
+        for inner_filters in ((), ("near",)):
+            plan = finalize_plan(IndexNLJoin(
+                SeqScan("orders", ("cheap",)), ("oc",), "cust", "c_id",
+                inner_filters))
+            row_result = RowEngine(database, query).run(plan)
+            vec_result = VectorEngine(database, query).run(plan)
+            assert vec_result.row_count == row_result.row_count
+            assert vec_result.spent == pytest.approx(row_result.spent,
+                                                     rel=1e-12)
+            row_mon = row_result.monitors[plan.node_id]
+            vec_mon = vec_result.monitors[plan.node_id]
+            assert (vec_mon.left_rows, vec_mon.right_rows,
+                    vec_mon.out_rows) == (row_mon.left_rows,
+                                          row_mon.right_rows,
+                                          row_mon.out_rows)
 
     def test_keep_rows(self, vec_setup):
         query, database = vec_setup
