@@ -1,36 +1,32 @@
 """Chaos harnesses: SIGKILL real subprocesses, prove nothing broke.
 
-Two harnesses live here. :func:`run_chaos` (PR 3) kills a journaled
-sweep and proves bit-identical recovery from the write-ahead log.
-:func:`run_serve_chaos` (this file's second half) does the same to the
-*serving daemon*: a real ``python -m repro serve`` subprocess is
-SIGKILLed and restarted at seeded progress points -- optionally under
-seeded wire chaos (``--faults``) -- while concurrent retrying clients
-keep issuing requests; every completed request's result must be
-bit-identical to a fault-free run's (warm artifacts resume from the
-shared disk cache across restarts), and no daemon process may outlive
-the harness.
+Recovery claims are only worth making if they survive an *actual*
+``kill -9`` -- not a simulated exception, but the process dying with no
+chance to flush, close or clean up. Both harnesses here are
+configurations of one kill/restart driver, :func:`kill_restart`: it
+launches a real CLI child, watches a progress probe, SIGKILLs the child
+once progress has advanced by a seeded amount (1-3, drawn from
+``default_rng(seed)``) since that child's launch, relaunches at once,
+and finally reaps every child it started. Because every kill waits for
+observed progress, none can land before real work -- a kill before the
+first unit of progress would test nothing.
 
-The durability claims of :mod:`repro.robustness.durable` are only worth
-making if they survive an *actual* ``kill -9`` -- not a simulated
-exception, but the process dying with no chance to flush, close or
-clean up. This harness runs a real journaled sweep (``python -m repro
-sweep --journal DIR``) in a subprocess, kills it at randomized points
-of journal progress, resumes it from the write-ahead log, and exposes
-the evidence needed to assert the recovery contract:
-
-* the recovered MSO/ASO grids are **bit-identical** to an uninterrupted
-  run's (COMMIT payloads round-trip floats through ``repr``);
-* **zero completed units are re-executed** -- once a unit's COMMIT is
-  in the log, no later BEGIN for it may appear;
-* the journal itself replays cleanly (at most a torn tail truncated,
-  never interior corruption).
-
-Kill points are derived from the journal's observed record count (the
-harness polls the log lock-free and fires SIGKILL once the child has
-appended a seeded number of new records), so every kill is guaranteed
-to land *after* real progress -- a kill before the first record would
-test nothing.
+* :func:`run_chaos` kills a journaled sweep (``python -m repro sweep
+  --journal DIR``); progress is the journal's record count, read
+  lock-free. The evidence asserts the durability contract of
+  :mod:`repro.robustness.durable`: the recovered MSO/ASO grids are
+  **bit-identical** to an uninterrupted run's (COMMIT payloads
+  round-trip floats through ``repr``), **zero completed units are
+  re-executed** (no BEGIN after a unit's COMMIT), and the journal
+  replays cleanly (at most a torn tail truncated, never interior
+  corruption).
+* :func:`run_serve_chaos` kills the serving daemon (``python -m repro
+  serve``), optionally under seeded wire chaos (``--faults``), while
+  concurrent retrying clients keep issuing requests; progress is the
+  fleet's completed-request count. Every completed request's result
+  must be bit-identical to a fault-free run's (warm artifacts resume
+  from the shared disk cache across restarts), and no daemon process
+  may outlive the harness.
 """
 
 import os
@@ -44,20 +40,104 @@ import numpy as np
 from repro.common.errors import JournalError, ReproError
 from repro.robustness.durable import SweepJournal
 
-#: Seconds the harness waits for a child to reach its kill point (or
-#: finish) before declaring the run stuck.
+#: Seconds the driver waits for a child to reach its kill point (or for
+#: the run to finish) before declaring the run stuck.
 WAIT_TIMEOUT = 120.0
 
-#: Poll interval while watching the journal grow.
+#: Poll interval while watching the progress probe.
 POLL = 0.01
 
 
-def src_path():
-    """The ``src`` directory providing :mod:`repro` (for PYTHONPATH)."""
+def spawn(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL):
+    """Start ``cmd`` with the ``src`` directory providing :mod:`repro`
+    first on ``PYTHONPATH``."""
     import repro
 
-    return os.path.dirname(os.path.dirname(os.path.abspath(
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
         repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.Popen(cmd, env=env, stdout=stdout, stderr=stderr)
+
+
+def _sigkill(proc):
+    proc.send_signal(signal.SIGKILL)
+    proc.wait()
+
+
+def _reap(procs):
+    """SIGTERM every live child, SIGKILL those still alive 30s later;
+    returns the PIDs that outlived even that."""
+    for proc in procs:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGTERM)
+    deadline = time.monotonic() + 30.0
+    for proc in procs:
+        if proc.poll() is None:
+            try:
+                proc.wait(timeout=max(0.1, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                _sigkill(proc)
+    return [proc.pid for proc in procs if proc.poll() is None]
+
+
+def _await(proc, progress, done, threshold):
+    """Poll until ``done(proc)`` (returns ``None``) or, when a kill
+    point is set, until progress reaches it (returns the progress)."""
+    start = time.monotonic()
+    while not done(proc):
+        count = progress()
+        if threshold is not None and count >= threshold:
+            return count
+        if time.monotonic() - start > WAIT_TIMEOUT:
+            raise RuntimeError(
+                "chaos child stalled at progress %d (kill point %s) "
+                "for %gs" % (count, threshold, WAIT_TIMEOUT))
+        time.sleep(POLL)
+    return None
+
+
+def kill_restart(launch, progress, done, kills, seed):
+    """SIGKILL and relaunch a child up to ``kills`` times, then let the
+    run finish.
+
+    ``launch()`` starts one child and returns its ``Popen``;
+    ``progress()`` reads a monotone progress count; ``done(proc)`` says
+    whether the run is over. Each kill's threshold is the progress read
+    just before the launch it applies to plus 1-3, drawn from
+    ``default_rng(seed)``; once progress reaches it, the child is
+    SIGKILLed and relaunched at once. A run that is done before its
+    next kill point ends the killing. Any wait longer than
+    :data:`WAIT_TIMEOUT` raises ``RuntimeError``; however the call
+    ends, every child it started is reaped.
+
+    Returns ``(procs, kill_progress, orphans)``: the children started,
+    the progress observed at each kill, and the PIDs still alive after
+    the reap.
+    """
+    chaos_rng = np.random.default_rng(seed)
+    procs = []
+    kill_progress = []
+    try:
+        while True:
+            before = progress()
+            procs.append(launch())
+            threshold = None
+            if len(kill_progress) < kills:
+                threshold = before + int(chaos_rng.integers(1, 4))
+            at = _await(procs[-1], progress, done, threshold)
+            if at is None:
+                break
+            _sigkill(procs[-1])
+            kill_progress.append(at)
+    finally:
+        orphans = _reap(procs)
+    return procs, kill_progress, orphans
+
+
+# ----------------------------------------------------------------------
+# sweep chaos: SIGKILL/resume a journaled sweep
 
 
 def sweep_command(journal_dir, workload, resolution, sample, algorithms,
@@ -150,81 +230,35 @@ class ChaosOutcome:
             self.kills, self.kill_records, len(self.grids))
 
 
-def _launch(journal_dir, workload, resolution, sample, algorithms, rng,
-            workers=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_path(), env.get("PYTHONPATH")) if p)
-    resume = SweepJournal.exists(journal_dir)
-    return subprocess.Popen(
-        sweep_command(journal_dir, workload, resolution, sample,
-                      algorithms, resume=resume, rng=rng,
-                      workers=workers),
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-
-
-def _kill_after(proc, journal_dir, threshold):
-    """SIGKILL ``proc`` once the journal holds ``threshold`` records.
-
-    Returns the record count at kill time, or ``None`` when the child
-    finished before reaching the threshold (nothing left to kill).
-    """
-    start = time.monotonic()
-    while time.monotonic() - start < WAIT_TIMEOUT:
-        count = len(journal_records(journal_dir))
-        if count >= threshold and proc.poll() is None:
-            os.kill(proc.pid, signal.SIGKILL)
-            proc.wait()
-            return count
-        if proc.poll() is not None:
-            return None
-        time.sleep(POLL)
-    proc.kill()
-    proc.wait()
-    raise RuntimeError(
-        "chaos child stalled: journal %s never reached %d records"
-        % (journal_dir, threshold))
-
-
 def run_chaos(journal_dir, workload="2D_Q91", resolution=10, sample=16,
               algorithms=("planbouquet", "spillbound", "alignedbound"),
               kills=3, seed=0, rng=0, workers=None):
     """Kill a journaled sweep ``kills`` times, then let it finish.
 
-    Each round launches the real CLI sweep against ``journal_dir``
-    (``--resume`` once the journal exists), waits until the child has
-    appended a seeded number of *new* records (1-3, drawn from
-    ``default_rng(seed)``), and SIGKILLs it. A child that completes
-    before reaching its kill point ends the killing early (the sweep is
-    done). A final run is then driven to completion and the journal's
-    evidence collected into a :class:`ChaosOutcome`. ``workers`` runs
-    every child sweep through the parallel backend (``--workers N``),
-    so the SIGKILL lands on a parent mid-merge with live worker
-    processes -- the recovery contract is identical because only the
-    parent writes the journal.
+    Drives :func:`kill_restart` with the real CLI sweep against
+    ``journal_dir`` (``--resume`` once the journal exists) and the
+    journal's record count as progress; the run is done when a child
+    exits. A child that completes before its kill point ends the
+    killing (the sweep is done), so ``launches == kills + 1``. The
+    journal's evidence is collected into a :class:`ChaosOutcome`.
+    ``workers`` runs every child sweep through the parallel backend
+    (``--workers N``), so the SIGKILL lands on a parent mid-merge with
+    live worker processes -- the recovery contract is identical
+    because only the parent writes the journal.
     """
-    chaos_rng = np.random.default_rng(seed)
-    delivered = 0
-    launches = 0
-    kill_records = []
-    while delivered < kills:
-        before = len(journal_records(journal_dir))
-        proc = _launch(journal_dir, workload, resolution, sample,
-                       algorithms, rng, workers=workers)
-        launches += 1
-        threshold = before + int(chaos_rng.integers(1, 4))
-        at = _kill_after(proc, journal_dir, threshold)
-        if at is None:
-            break
-        delivered += 1
-        kill_records.append(at)
-    # Drive the sweep to completion (possibly the first clean pass).
-    proc = _launch(journal_dir, workload, resolution, sample,
-                   algorithms, rng, workers=workers)
-    launches += 1
-    if proc.wait(timeout=WAIT_TIMEOUT) != 0:
-        raise RuntimeError("final chaos resume exited non-zero")
-    return ChaosOutcome(delivered, launches, kill_records,
+    def launch():
+        return spawn(sweep_command(
+            journal_dir, workload, resolution, sample, algorithms,
+            resume=SweepJournal.exists(journal_dir), rng=rng,
+            workers=workers))
+
+    procs, kill_records, _ = kill_restart(
+        launch, lambda: len(journal_records(journal_dir)),
+        lambda proc: proc.poll() is not None, kills, seed)
+    if procs[-1].returncode != 0:
+        raise RuntimeError("final chaos resume exited with status %d"
+                           % procs[-1].returncode)
+    return ChaosOutcome(len(kill_records), len(procs), kill_records,
                         journal_grids(journal_dir),
                         verify_single_execution(journal_dir))
 
@@ -319,22 +353,18 @@ class ServeChaosOutcome:
                    len(self.errors), len(self.orphans)))
 
 
-def _launch_serve(socket_path, cache_dir, resolution, engine, faults,
-                  fault_seed):
+def launch_serve(socket_path, cache_dir, resolution, engine, faults,
+                 fault_seed):
+    """Start one :func:`serve_command` daemon on ``socket_path``."""
     # A SIGKILLed daemon never unlinks its socket; clear the stale
     # file so the replacement can bind.
     try:
         os.unlink(socket_path)
     except OSError:
         pass
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_path(), env.get("PYTHONPATH")) if p)
-    return subprocess.Popen(
-        serve_command(socket_path, cache_dir, resolution=resolution,
-                      engine=engine, faults=faults,
-                      fault_seed=fault_seed),
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return spawn(serve_command(socket_path, cache_dir,
+                               resolution=resolution, engine=engine,
+                               faults=faults, fault_seed=fault_seed))
 
 
 def wait_serving(socket_path, timeout=WAIT_TIMEOUT):
@@ -354,13 +384,15 @@ def wait_serving(socket_path, timeout=WAIT_TIMEOUT):
 
 
 def _serve_chaos_client(socket_path, payloads, results, errors,
-                        completed, seed):
+                        completed, seed, stop):
     """One chaos client thread: complete every payload, whatever it takes.
 
     Each payload is pushed through :meth:`ServeClient.call` (stable id,
     reconnects, jittered backoff honouring ``retry_after_ms``); a dead
-    daemon (connection refused while restarting) is ridden out by an
-    outer decorrelated-jitter loop under :data:`CLIENT_DEADLINE`.
+    daemon (connection refused while booting or restarting) is ridden
+    out by an outer decorrelated-jitter loop under
+    :data:`CLIENT_DEADLINE`. Once ``stop`` is set, a failed attempt is
+    recorded as an error instead of retried.
     """
     from repro.common.backoff import BackoffPolicy
     from repro.serve import ServeClient
@@ -384,7 +416,7 @@ def _serve_chaos_client(socket_path, payloads, results, errors,
                     break
                 last = "%s: %s" % (response.get("error"),
                                    response.get("message"))
-            if not state.sleep():
+            if stop.is_set() or not state.sleep():
                 errors[payload["id"]] = last or "request never answered"
                 break
 
@@ -396,27 +428,26 @@ def run_serve_chaos(workdir, clients=8, per_client=4, kills=3, seed=0,
                     fault_seed=0):
     """SIGKILL/restart a real serving daemon under concurrent clients.
 
-    Launches ``python -m repro serve`` on a unix socket in ``workdir``
-    with an on-disk artifact cache, starts ``clients`` concurrent
-    retrying client threads working through
-    :func:`serve_chaos_requests`, and SIGKILLs the daemon each time the
-    fleet's completed-request count has advanced by a seeded amount
-    (1-3, drawn from ``default_rng(seed)``) since the last restart --
-    so every kill lands after real progress. Each kill is followed by
-    an immediate relaunch against the *same* cache dir: warm artifacts
-    resume from disk, which is what makes the post-restart answers
-    cheap and, more importantly, provably identical. ``faults`` adds
-    seeded wire chaos inside the daemon on top of the crashes.
+    Starts ``clients`` concurrent retrying client threads working
+    through :func:`serve_chaos_requests` and drives :func:`kill_restart`
+    with ``python -m repro serve`` on a unix socket in ``workdir`` (an
+    on-disk artifact cache alongside) and the fleet's completed-request
+    count as progress; the run is done once every request completed or
+    failed. The clients ride out the first boot exactly like every
+    restart. Each kill is followed by an immediate relaunch against the
+    *same* cache dir: warm artifacts resume from disk, which is what
+    makes the post-restart answers cheap and, more importantly,
+    provably identical. ``faults`` adds seeded wire chaos inside the
+    daemon on top of the crashes.
 
-    After the clients finish, the surviving daemon is drained with
-    SIGTERM and every launched process reaped; the returned
-    :class:`ServeChaosOutcome` carries the per-request results (for the
-    bit-identical comparison against a fault-free run), the requests
-    that failed outright, and any orphaned PIDs.
+    The surviving daemon is drained with SIGTERM and every launched
+    process reaped; the returned :class:`ServeChaosOutcome` carries the
+    per-request results (for the bit-identical comparison against a
+    fault-free run), the requests that failed outright, and any
+    orphaned PIDs.
     """
     import threading
 
-    chaos_rng = np.random.default_rng(seed)
     socket_path = os.path.join(workdir, "serve.sock")
     cache_dir = os.path.join(workdir, "cache")
     os.makedirs(cache_dir, exist_ok=True)
@@ -425,71 +456,37 @@ def run_serve_chaos(workdir, clients=8, per_client=4, kills=3, seed=0,
                                      resolution=resolution, query=query,
                                      algorithm=algorithm, engine=engine)
     total = sum(len(w) for w in workloads)
-    procs = []
-
-    def launch():
-        proc = _launch_serve(socket_path, cache_dir, resolution, engine,
-                             faults, fault_seed)
-        procs.append(proc)
-        return proc
-
-    proc = launch()
-    wait_serving(socket_path)
     results = {}
     errors = {}
     completed = []  # list appends are atomic; len() is the progress
+    stop = threading.Event()
     threads = [
         threading.Thread(
             target=_serve_chaos_client,
             args=(socket_path, payloads, results, errors, completed,
-                  seed * 1000 + i),
+                  seed * 1000 + i, stop),
             name="serve-chaos-client-%d" % i)
         for i, payloads in enumerate(workloads)
     ]
     for thread in threads:
         thread.start()
-    delivered = 0
-    kill_progress = []
     try:
-        while delivered < kills:
-            target = len(completed) + int(chaos_rng.integers(1, 4))
-            start = time.monotonic()
-            while len(completed) < target \
-                    and len(completed) + len(errors) < total:
-                if time.monotonic() - start > WAIT_TIMEOUT:
-                    raise RuntimeError(
-                        "serve chaos stalled at %d/%d completions"
-                        % (len(completed), total))
-                time.sleep(POLL)
-            if len(completed) + len(errors) >= total:
-                break  # fleet finished before the next kill point
-            kill_progress.append(len(completed))
-            os.kill(proc.pid, signal.SIGKILL)
-            proc.wait()
-            delivered += 1
-            proc = launch()
+        procs, kill_progress, orphans = kill_restart(
+            lambda: launch_serve(socket_path, cache_dir, resolution,
+                                 engine, faults, fault_seed),
+            lambda: len(completed),
+            lambda proc: len(completed) + len(errors) >= total,
+            kills, seed)
     finally:
+        stop.set()
         for thread in threads:
             thread.join(WAIT_TIMEOUT)
-        # Drain the survivor; SIGKILL stragglers rather than leak them.
-        for p in procs:
-            if p.poll() is None:
-                p.send_signal(signal.SIGTERM)
-        deadline = time.monotonic() + 30.0
-        for p in procs:
-            if p.poll() is None:
-                try:
-                    p.wait(timeout=max(0.1, deadline - time.monotonic()))
-                except subprocess.TimeoutExpired:
-                    p.kill()
-                    p.wait()
-    orphans = [p.pid for p in procs if p.poll() is None]
-    try:
-        os.unlink(socket_path)
-    except OSError:
-        pass
-    return ServeChaosOutcome(delivered, len(procs), results, errors,
-                             orphans, kill_progress)
+        try:
+            os.unlink(socket_path)
+        except OSError:
+            pass
+    return ServeChaosOutcome(len(kill_progress), len(procs), results,
+                             errors, orphans, kill_progress)
 
 
 def serve_baseline(requests, resolution=6,

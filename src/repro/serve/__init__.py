@@ -3,8 +3,9 @@
 ``repro serve`` exposes one warm :class:`~repro.session.RobustSession`
 to many tenants over line-delimited JSON, with per-tenant admission
 control, request coalescing, a graceful degradation ladder, layered
-deadline propagation, and a seeded wire-chaos layer
-(:mod:`repro.serve.faults`) for availability proofs. See
+deadline propagation, and a seeded wire-chaos layer the daemon injects
+on its own reply path (:mod:`repro.serve.faults`) for availability
+proofs. See
 :mod:`repro.serve.daemon` for the architecture and ``docs/serving.md``
 for the protocol and failure model.
 """
@@ -18,12 +19,7 @@ from repro.serve.admission import (
 from repro.serve.coalesce import CoalesceStats, Coalescer
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import RobustServeDaemon, ServeConfig, ServerThread
-from repro.serve.faults import (
-    ChaosProxy,
-    ChaosProxyThread,
-    FaultInjector,
-    ServeFaultPlan,
-)
+from repro.serve.faults import FaultInjector, ServeFaultPlan
 from repro.serve.protocol import (
     ERR_BAD_REQUEST,
     ERR_DRAINING,
@@ -44,8 +40,6 @@ from repro.serve.protocol import (
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
-    "ChaosProxy",
-    "ChaosProxyThread",
     "CoalesceStats",
     "Coalescer",
     "ERR_BAD_REQUEST",

@@ -17,12 +17,7 @@ seeded discipline the engine and backend plans share
 * the daemon installs an injector **in-process** on its reply path
   (``ServeConfig(fault_plan=...)`` / ``repro serve --faults``), which
   drops connections, truncates frames mid-write, prepends garbage
-  lines and slow-lorises replies;
-* :class:`ChaosProxy` / :class:`ChaosProxyThread` put the same fault
-  plan *between* a real client and a real daemon (both directions), so
-  subprocess chaos tests corrupt client->server traffic too --
-  exercising the daemon's malformed-input handling with genuinely
-  hostile bytes.
+  lines and slow-lorises replies.
 
 Fault kinds (one per frame, first drawn wins): **drop** (connection
 closed without the frame), **truncate** (a seeded fraction of the
@@ -31,11 +26,9 @@ frame's bytes written, then the connection closed -- a torn write),
 **slow** (the frame delayed by a seeded number of milliseconds).
 """
 
-import asyncio
 import itertools
 import threading
 
-from repro.common.errors import ReproError
 from repro.common.faults import FaultKind, SeededFaultPlan
 
 #: Bounds of the uniformly drawn fraction of a truncated frame's bytes
@@ -139,200 +132,3 @@ class FaultInjector:
 def garbage_line(decision):
     """The injected junk bytes for a ``garbage`` decision, terminated."""
     return bytes(decision["data"]) + b"\n"
-
-
-class ChaosProxy:
-    """A seeded fault-injecting forwarder between client and daemon.
-
-    Listens on its own endpoint, forwards line frames to the upstream
-    daemon, and applies one :class:`ServeFaultPlan` to frames in *both*
-    directions (client->server frames exercise the daemon's hostile
-    input handling; server->client frames exercise client resilience).
-    A ``drop`` or ``truncate`` fault kills both halves of the proxied
-    connection -- from each end it is indistinguishable from a peer
-    crash, which is the point.
-
-    Run it inside an event loop via :meth:`start` or on its own thread
-    via :class:`ChaosProxyThread`.
-    """
-
-    #: Per-line byte ceiling on proxied frames; above it the proxy just
-    #: forwards raw chunks (it must not be the layer that rejects
-    #: oversized lines -- the daemon under test does that).
-    LINE_LIMIT = 1 << 20
-
-    def __init__(self, plan, listen_path=None, upstream_path=None,
-                 listen_host="127.0.0.1", listen_port=0,
-                 upstream_host="127.0.0.1", upstream_port=7451,
-                 directions=("c2s", "s2c")):
-        if (listen_path is None) != (upstream_path is None):
-            raise ReproError(
-                "chaos proxy endpoints must both be unix sockets or "
-                "both TCP")
-        self.plan = plan
-        self.injector = FaultInjector(plan)
-        self.listen_path = listen_path
-        self.upstream_path = upstream_path
-        self.listen_host = listen_host
-        self.listen_port = listen_port
-        self.upstream_host = upstream_host
-        self.upstream_port = upstream_port
-        self.directions = frozenset(directions)
-        self.bound_to = None
-        self._server = None
-
-    async def start(self):
-        if self.listen_path:
-            self._server = await asyncio.start_unix_server(
-                self._handle, path=self.listen_path,
-                limit=self.LINE_LIMIT)
-            self.bound_to = self.listen_path
-        else:
-            self._server = await asyncio.start_server(
-                self._handle, host=self.listen_host,
-                port=self.listen_port, limit=self.LINE_LIMIT)
-            sock = self._server.sockets[0].getsockname()
-            self.listen_port = sock[1]
-            self.bound_to = "%s:%d" % (sock[0], sock[1])
-        return self
-
-    async def stop(self):
-        if self._server is not None:
-            self._server.close()
-            try:
-                await self._server.wait_closed()
-            except Exception:
-                pass
-
-    async def _connect_upstream(self):
-        if self.upstream_path:
-            return await asyncio.open_unix_connection(
-                self.upstream_path, limit=self.LINE_LIMIT)
-        return await asyncio.open_connection(
-            self.upstream_host, self.upstream_port,
-            limit=self.LINE_LIMIT)
-
-    async def _handle(self, client_reader, client_writer):
-        try:
-            up_reader, up_writer = await self._connect_upstream()
-        except OSError:
-            client_writer.close()
-            return
-        done = asyncio.Event()
-
-        async def pump(reader, writer, direction):
-            try:
-                while True:
-                    try:
-                        line = await reader.readline()
-                    except (asyncio.LimitOverrunError, ValueError):
-                        # A monster line: forward what is buffered raw;
-                        # the endpoints enforce their own caps.
-                        line = await reader.read(self.LINE_LIMIT)
-                    if not line:
-                        break
-                    if not await self._forward(line, writer, direction):
-                        break
-            except (ConnectionResetError, BrokenPipeError,
-                    asyncio.IncompleteReadError):
-                pass
-            finally:
-                done.set()
-
-        tasks = [asyncio.ensure_future(
-                     pump(client_reader, up_writer, "c2s")),
-                 asyncio.ensure_future(
-                     pump(up_reader, client_writer, "s2c"))]
-        await done.wait()
-        for task in tasks:
-            task.cancel()
-        for writer in (client_writer, up_writer):
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    async def _forward(self, line, writer, direction):
-        """Apply the plan to one frame; ``False`` kills the connection."""
-        decision = self.injector.next_fault() \
-            if direction in self.directions else None
-        fault = decision["fault"] if decision else None
-        if fault == "slow":
-            await asyncio.sleep(decision["delay_ms"] / 1e3)
-            fault = None
-        if fault == "drop":
-            return False
-        if fault == "truncate":
-            keep = max(1, int(len(line) * decision["keep_fraction"]))
-            writer.write(line[:keep])
-            try:
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            return False
-        if fault == "garbage":
-            writer.write(garbage_line(decision))
-        writer.write(line)
-        await writer.drain()
-        return True
-
-    def __repr__(self):
-        return "ChaosProxy(%s -> %s, %r)" % (
-            self.bound_to or "unbound",
-            self.upstream_path
-            or "%s:%d" % (self.upstream_host, self.upstream_port),
-            self.plan)
-
-
-class ChaosProxyThread:
-    """Run a :class:`ChaosProxy` on a background thread (tests/harness)."""
-
-    def __init__(self, proxy):
-        self.proxy = proxy
-        self._thread = None
-        self._loop = None
-        self._ready = None
-        self._stop = None
-        self._failure = None
-
-    def _main(self):
-        try:
-            asyncio.run(self._serve())
-        except Exception as exc:  # surface bind errors to start()
-            self._failure = exc
-            self._ready.set()
-
-    async def _serve(self):
-        await self.proxy.start()
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            await self.proxy.stop()
-
-    def start(self, timeout=10.0):
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._main,
-                                        name="repro-chaos-proxy",
-                                        daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise ReproError("chaos proxy did not start in %gs" % timeout)
-        if self._failure is not None:
-            raise self._failure
-        return self
-
-    def stop(self, timeout=10.0):
-        if self._loop is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise ReproError("chaos proxy did not stop in %gs" % timeout)
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, *exc):
-        self.stop()

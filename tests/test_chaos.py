@@ -4,13 +4,14 @@ These are the end-to-end teeth of the durability layer. A genuine
 ``python -m repro sweep --journal`` child is killed with SIGKILL at
 seeded points of journal progress and resumed; the recovered grids must
 be bit-identical to an uninterrupted run's and no committed unit may
-ever re-execute. Also covers the cross-process reproducibility of
-seeded fault schedules (the property that makes chaos runs repeatable
-at all).
+ever re-execute. Also covers the kill/restart driver both harnesses
+share (seeded kill points, the stall error, no child outliving a failed
+run) and the cross-process reproducibility of seeded fault schedules
+(the property that makes chaos runs repeatable at all).
 """
 
 import json
-import os
+import signal
 import subprocess
 import sys
 
@@ -27,22 +28,15 @@ SAMPLE = 16
 ALGORITHMS = ("planbouquet", "spillbound", "alignedbound")
 
 
-def _subprocess_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (chaos.src_path(), env.get("PYTHONPATH")) if p)
-    return env
-
-
 def _clean_grids(tmp_path):
     """Grids from one uninterrupted journaled run of the same sweep."""
     journal_dir = str(tmp_path / "clean-journal")
-    proc = subprocess.run(
+    proc = chaos.spawn(
         chaos.sweep_command(journal_dir, WORKLOAD, RESOLUTION, SAMPLE,
                             ALGORITHMS),
-        env=_subprocess_env(),
-        capture_output=True, timeout=chaos.WAIT_TIMEOUT)
-    assert proc.returncode == 0, proc.stderr.decode()
+        stderr=subprocess.PIPE)
+    _, err = proc.communicate(timeout=chaos.WAIT_TIMEOUT)
+    assert proc.returncode == 0, err.decode()
     return chaos.journal_grids(journal_dir)
 
 
@@ -55,6 +49,7 @@ def test_sigkill_recovery_is_bit_identical(tmp_path):
     # The harness must have landed real kills mid-sweep, each after
     # observable journal progress.
     assert outcome.kills >= 3
+    assert outcome.launches == outcome.kills + 1
     assert len(outcome.kill_records) == outcome.kills
     assert all(n > 0 for n in outcome.kill_records)
     # Exactly-once: no committed unit was re-executed after its COMMIT.
@@ -81,6 +76,7 @@ def test_sigkill_mid_parallel_sweep_recovers(tmp_path):
                               algorithms=ALGORITHMS, kills=2, seed=1,
                               workers=2)
     assert outcome.kills >= 1
+    assert outcome.launches == outcome.kills + 1
     assert all(n > 0 for n in outcome.kill_records)
     assert outcome.problems == []
     assert len(outcome.grids) == len(ALGORITHMS)
@@ -110,6 +106,93 @@ def test_journal_records_tolerates_absence(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# the kill/restart driver (sleeping children, no CLI)
+
+
+SLEEPER = [sys.executable, "-c", "import time; time.sleep(600)"]
+
+
+@pytest.fixture
+def launched(monkeypatch):
+    """Every child the harness starts, killed afterwards if the harness
+    leaked it (so a failing leak check does not leak too)."""
+    procs = []
+    popen = subprocess.Popen
+
+    def recording(*args, **kwargs):
+        procs.append(popen(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(chaos.subprocess, "Popen", recording)
+    yield procs
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
+def test_kill_restart_kills_at_seeded_progress(launched):
+    reads = []
+
+    def progress():  # moves by one on every read
+        reads.append(len(reads))
+        return reads[-1]
+
+    bases = []
+
+    def launch():
+        bases.append(reads[-1])
+        return chaos.spawn(SLEEPER)
+
+    # The run is done as soon as the post-kill survivor is up.
+    procs, kill_progress, orphans = chaos.kill_restart(
+        launch, progress, lambda proc: len(launched) > 3, kills=3,
+        seed=5)
+    draws = np.random.default_rng(5)
+    assert kill_progress == [base + int(draws.integers(1, 4))
+                             for base in bases[:3]]
+    assert procs == launched and len(procs) == 4
+    # Three SIGKILLs, then the survivor reaped with SIGTERM.
+    assert [p.returncode for p in procs] == \
+        [-signal.SIGKILL] * 3 + [-signal.SIGTERM]
+    assert orphans == []
+
+
+def test_kill_restart_stalls_loudly_and_reaps(monkeypatch, launched):
+    monkeypatch.setattr(chaos, "WAIT_TIMEOUT", 0.2)
+    with pytest.raises(RuntimeError, match="stalled"):
+        chaos.kill_restart(lambda: chaos.spawn(SLEEPER), lambda: 0,
+                           lambda proc: False, kills=1, seed=0)
+    assert len(launched) == 1
+    assert launched[0].poll() is not None
+
+
+def test_run_chaos_reaps_a_child_that_never_finishes(monkeypatch,
+                                                      launched,
+                                                      tmp_path):
+    monkeypatch.setattr(chaos, "WAIT_TIMEOUT", 1.0)
+    monkeypatch.setattr(chaos, "sweep_command",
+                        lambda *args, **kwargs: SLEEPER)
+    with pytest.raises((subprocess.TimeoutExpired, RuntimeError)):
+        chaos.run_chaos(str(tmp_path / "journal"), kills=0)
+    assert launched
+    assert [p for p in launched if p.poll() is None] == []
+
+
+def test_run_serve_chaos_reaps_a_daemon_that_never_serves(monkeypatch,
+                                                          launched,
+                                                          tmp_path):
+    monkeypatch.setattr(chaos, "WAIT_TIMEOUT", 1.0)
+    monkeypatch.setattr(chaos, "serve_command",
+                        lambda *args, **kwargs: SLEEPER)
+    with pytest.raises(RuntimeError):
+        chaos.run_serve_chaos(str(tmp_path), clients=2, per_client=1,
+                              kills=1)
+    assert launched
+    assert [p for p in launched if p.poll() is None] == []
+
+
+# ----------------------------------------------------------------------
 # fault-schedule reproducibility across process boundaries
 
 
@@ -130,12 +213,13 @@ def test_fault_schedule_reproduces_across_processes(mode, seed):
                      drift_factor=1.4, seed=seed,
                      crash_on_calls=(5,), transient_on_calls=(2,))
     local = plan.schedule(40, mode=mode, resolution=20)
-    proc = subprocess.run(
+    proc = chaos.spawn(
         [sys.executable, "-c", SCHEDULE_PROG,
          json.dumps(plan.to_dict()), "40", mode],
-        env=_subprocess_env(), capture_output=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr.decode()
-    remote = json.loads(proc.stdout)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err.decode()
+    remote = json.loads(out)
     # JSON round-trips the floats exactly, so equality is exact.
     assert remote == json.loads(json.dumps(local))
 

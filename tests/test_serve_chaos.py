@@ -128,7 +128,7 @@ def test_daemon_restart_resumes_from_the_disk_cache(tmp_path):
     sock = str(tmp_path / "serve.sock")
     cache_dir = str(tmp_path / "cache")
     os.makedirs(cache_dir, exist_ok=True)
-    proc = chaos._launch_serve(sock, cache_dir, 6, "simulated", None, 0)
+    proc = chaos.launch_serve(sock, cache_dir, 6, "simulated", None, 0)
     try:
         chaos.wait_serving(sock)
         with ServeClient(path=sock, timeout=60.0) as client:
@@ -136,8 +136,8 @@ def test_daemon_restart_resumes_from_the_disk_cache(tmp_path):
         assert first["ok"]
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait()
-        proc = chaos._launch_serve(sock, cache_dir, 6, "simulated",
-                                   None, 0)
+        proc = chaos.launch_serve(sock, cache_dir, 6, "simulated",
+                                  None, 0)
         chaos.wait_serving(sock)
         with ServeClient(path=sock, timeout=60.0) as client:
             again = client.run("2D_Q91", resolution=6, rng=0)

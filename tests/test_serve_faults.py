@@ -3,8 +3,8 @@
 Covers the plan/injector vocabulary (:mod:`repro.serve.faults`,
 :mod:`repro.ir.faults`), the protocol's framing hardening
 (:class:`~repro.serve.protocol.FrameAssembler`, oversized and torn
-frames), the daemon's in-process wire chaos, the chaos proxy, the
-client's resilience posture, and the backend failover ladder.
+frames), the daemon's in-process wire chaos, the client's resilience
+posture, and the backend failover ladder.
 """
 
 import socket
@@ -16,8 +16,6 @@ import pytest
 from repro.common.errors import BackendUnavailableError, ReproError
 from repro.ir.faults import BackendFaultPlan, FaultyBackend
 from repro.serve import (
-    ChaosProxy,
-    ChaosProxyThread,
     ERR_OVERSIZED,
     FaultInjector,
     FrameAssembler,
@@ -462,6 +460,27 @@ class TestClientResilience:
         finally:
             server.stop()
 
+    def test_garbage_toward_the_daemon_yields_structured_errors(
+            self, tmp_path):
+        server = _chaos_server(tmp_path, None)
+        server.start()
+        junk = garbage_line(
+            ServeFaultPlan(garbage_on_frames=(1,)).fault_at(1))
+        try:
+            with ServeClient(path=server.daemon.config.path,
+                             retries=4, raise_errors=False) as c:
+                # The junk line precedes the real request; the daemon
+                # answers both (bad-request, then ok) and the
+                # id-matching client skips the former.
+                c._sock.sendall(junk)
+                response = c.call({"op": "health", "id": 42})
+            assert response["ok"] and response["id"] == 42
+            bad = server.daemon.metrics.counter(
+                "serve.errors.bad_request").value
+            assert bad >= 1
+        finally:
+            server.stop()
+
     def test_retries_exhausted_raises_the_transport_failure(
             self, tmp_path):
         plan = ServeFaultPlan(drop_rate=1.0)
@@ -475,73 +494,6 @@ class TestClientResilience:
                 assert client.last_attempts == 3
         finally:
             server.stop()
-
-
-# ----------------------------------------------------------------------
-# chaos proxy
-
-
-class TestChaosProxy:
-    def test_clean_proxy_is_transparent(self, tmp_path):
-        server = _chaos_server(tmp_path, None)
-        server.start()
-        proxy = ChaosProxy(ServeFaultPlan(),
-                           listen_path=str(tmp_path / "proxy.sock"),
-                           upstream_path=server.daemon.config.path)
-        try:
-            with ChaosProxyThread(proxy):
-                with ServeClient(path=proxy.listen_path) as client:
-                    assert client.health()["result"]["ok"]
-                    assert client.stats()["ok"]
-            assert proxy.injector.counts["frames"] >= 4
-        finally:
-            server.stop()
-
-    def test_dropped_request_frame_looks_like_a_peer_crash(
-            self, tmp_path):
-        server = _chaos_server(tmp_path, None)
-        server.start()
-        # Frame 1 is the first client->server request: dropped, both
-        # halves die, the retrying client reconnects and succeeds.
-        proxy = ChaosProxy(ServeFaultPlan(drop_on_frames=(1,)),
-                           listen_path=str(tmp_path / "proxy.sock"),
-                           upstream_path=server.daemon.config.path)
-        try:
-            with ChaosProxyThread(proxy):
-                with ServeClient(path=proxy.listen_path,
-                                 retries=4) as client:
-                    assert client.health()["result"]["ok"]
-                    assert client.last_attempts >= 2
-            assert proxy.injector.counts["drop"] == 1
-        finally:
-            server.stop()
-
-    def test_garbage_toward_the_daemon_yields_structured_errors(
-            self, tmp_path):
-        server = _chaos_server(tmp_path, None)
-        server.start()
-        proxy = ChaosProxy(ServeFaultPlan(garbage_on_frames=(1,)),
-                           listen_path=str(tmp_path / "proxy.sock"),
-                           upstream_path=server.daemon.config.path,
-                           directions=("c2s",))
-        try:
-            with ChaosProxyThread(proxy):
-                with ServeClient(path=proxy.listen_path,
-                                 retries=4, raise_errors=False) as c:
-                    # The garbage line precedes the real request; the
-                    # daemon answers both (bad-request, then ok) and
-                    # the id-matching client skips the former.
-                    response = c.call({"op": "health", "id": 42})
-            assert response["ok"] and response["id"] == 42
-            bad = server.daemon.metrics.counter(
-                "serve.errors.bad_request").value
-            assert bad >= 1
-        finally:
-            server.stop()
-
-    def test_mismatched_endpoint_kinds_are_rejected(self):
-        with pytest.raises(ReproError):
-            ChaosProxy(ServeFaultPlan(), listen_path="/tmp/x.sock")
 
 
 # ----------------------------------------------------------------------

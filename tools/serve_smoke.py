@@ -20,29 +20,15 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from repro.robustness.chaos import spawn, wait_serving  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
 
 CONCURRENCY = 32
 QUERY = "2D_Q91"
-
-
-def wait_for_socket(path, timeout=30.0):
-    deadline = time.time() + timeout
-    while time.time() < deadline:
-        if os.path.exists(path):
-            try:
-                with ServeClient(path=path, timeout=5.0) as client:
-                    if client.health()["result"]["ok"]:
-                        return
-            except OSError:
-                pass
-        time.sleep(0.1)
-    raise RuntimeError("daemon socket never became healthy")
 
 
 def fire(path, index, responses):
@@ -61,16 +47,13 @@ def fire(path, index, responses):
 def main():
     sock = os.path.join(tempfile.mkdtemp(prefix="repro-serve-"),
                         "smoke.sock")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(ROOT, "src")
-    daemon = subprocess.Popen(
+    daemon = spawn(
         [sys.executable, "-m", "repro", "serve", "--socket", sock,
          "--max-inflight", "4", "--max-queue", "64",
          "--tenant-burst", "64", "--tenant-rate", "64",
-         "--default-deadline", "60000"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+         "--default-deadline", "60000"])
     try:
-        wait_for_socket(sock)
+        wait_serving(sock, timeout=30.0)
         responses = [None] * CONCURRENCY
         threads = [threading.Thread(target=fire,
                                     args=(sock, i, responses))
