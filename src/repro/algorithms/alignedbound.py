@@ -25,7 +25,6 @@ hook described in §6.1.
 
 import numpy as np
 
-from repro.algorithms.base import ExecutionRecord
 from repro.algorithms.spillbound import SpillBound
 
 
@@ -58,7 +57,6 @@ class AlignedBound(SpillBound):
         #: cheapest enforcement exceeds it are treated as unalignable
         #: (used for the Table 2 sensitivity study).
         self.max_penalty = max_penalty
-        self._analysis_cache = {}
         self._constrained_cache = {}
 
     def mso_lower_guarantee(self):
@@ -71,79 +69,42 @@ class AlignedBound(SpillBound):
         return r / (r - 1.0) + self.space.query.dimensions * r
 
     # ------------------------------------------------------------------
+    # pass planning: SpillBound's loop executes the parts of the
+    # cheapest partition instead of one spill per epp
 
-    def _contour_pass(self, engine, state, i):
+    def _pass_plan(self, state, i):
+        """The memoised plan, plus a partition's per-pass effects."""
+        steps = super()._pass_plan(state, i)
+        if isinstance(steps, _PartitionSteps):
+            state.extras["max_penalty"] = max(
+                state.extras.get("max_penalty", 0.0), steps.penalty)
+            if state.tracer.enabled:
+                state.tracer.event(
+                    "psa-partition",
+                    contour=i,
+                    parts=[{"leader": p.leader, "native": p.native,
+                            "penalty": p.penalty} for p in steps.parts],
+                    penalty=steps.penalty,
+                )
+        return steps
+
+    def _build_pass_plan(self, i, fixed_key, remaining_key):
         """One AlignedBound pass over contour ``i`` (Algorithm 2)."""
-        members = self.contours.members(i, fixed=state.resolved)
+        members = self.contours.members(i, fixed=dict(fixed_key))
         if members.is_empty:
-            return False
-        remaining_key = frozenset(state.remaining)
-        parts = self._plan_contour(i, state.resolved, remaining_key, members)
+            return ()
+        parts = self._analyse(i, remaining_key, members)
         if parts is None:
             # No feasible partition (no spillable plan anywhere): fall
             # back to SpillBound's per-epp pass.
-            return super()._contour_pass(engine, state, i)
-        total_penalty = sum(p.penalty for p in parts if not p.empty)
-        state.extras["max_penalty"] = max(
-            state.extras.get("max_penalty", 0.0), total_penalty
-        )
-        if state.tracer.enabled:
-            state.tracer.event(
-                "psa-partition",
-                contour=i,
-                parts=[{"leader": p.leader, "native": p.native,
-                        "penalty": p.penalty}
-                       for p in parts if not p.empty],
-                penalty=total_penalty,
-            )
-        for part in sorted(parts,
-                           key=lambda p: self.space.query.epp_index(p.leader)):
-            if part.empty:
-                continue
-            repeat = (i, part.leader) in state.executed
-            state.executed.add((i, part.leader))
-            outcome = engine.execute_spill(
-                part.plan, part.leader, part.node, part.budget
-            )
-            state.charge(ExecutionRecord(
-                contour=i,
-                plan_id=part.plan.id,
-                mode="spill",
-                epp=part.leader,
-                budget=part.budget,
-                spent=outcome.spent,
-                completed=outcome.completed,
-                learned=outcome.learned_index,
-                repeat=repeat,
-            ))
-            if outcome.completed:
-                state.learn_exact(outcome.dim, part.leader,
-                                  outcome.learned_index)
-                state.sync(i)
-                return True
-            state.learn_bound(outcome.dim, outcome.learned_index)
-            state.sync(i)
-        return False
-
-    # ------------------------------------------------------------------
-    # contour analysis (cached across runs: the same contour state
-    # reappears for every qa sharing the learnt prefix)
-
-    def _plan_contour(self, i, resolved, remaining_key, members):
-        cache_key = (i, tuple(sorted(resolved.items())), remaining_key)
-        if cache_key in self._analysis_cache:
-            return self._analysis_cache[cache_key]
-        parts = self._analyse(i, remaining_key, members)
-        self._analysis_cache[cache_key] = parts
-        return parts
+            return super()._build_pass_plan(i, fixed_key, remaining_key)
+        return _PartitionSteps(
+            [p for p in parts if not p.empty], self.space.query.epp_index)
 
     def _analyse(self, i, remaining_key, members):
         query = self.space.query
         remaining = sorted(remaining_key, key=query.epp_index)
-        targets = np.array([
-            self._spill_target(int(pid), remaining_key)
-            for pid in members.plan_ids
-        ], dtype=object)
+        targets = self.space.spill_targets(remaining_key)[members.plan_ids]
 
         part_memo = {}
 
@@ -186,14 +147,17 @@ class AlignedBound(SpillBound):
         """
         query = self.space.query
         dim = query.epp_index(leader)
-        in_part = np.isin(targets, part_tuple)
+        # Membership by lookup: slot -1 (no spill target) stays False.
+        part_dims = np.zeros(query.dimensions + 1, dtype=bool)
+        part_dims[[query.epp_index(e) for e in part_tuple]] = True
+        in_part = part_dims[targets]
         if not in_part.any():
             return _PartChoice(leader, penalty=0.0, empty=True)
 
         part_coords = members.coords[in_part]
         extreme = int(part_coords[:, dim].max())
 
-        leader_mask = targets == leader
+        leader_mask = targets == dim
         leader_max = int(members.coords[leader_mask, dim].max()) \
             if leader_mask.any() else -1
 
@@ -215,14 +179,18 @@ class AlignedBound(SpillBound):
         s_mask = members.coords[:, dim] == extreme
         s_coords = members.coords[s_mask]
         best = None
-        for plan in self.space.plans:
-            if self._spill_target(plan.id, remaining_key) != leader:
-                continue
-            costs = plan.cost[tuple(s_coords.T)]
-            pick = int(np.argmin(costs))
-            cost = float(costs[pick])
-            if best is None or cost < best[0]:
-                best = (cost, plan, tuple(int(c) for c in s_coords[pick]))
+        spilling = np.flatnonzero(
+            self.space.spill_targets(remaining_key) == dim)
+        if spilling.size:
+            # Row-major argmin: the first plan (in id order) reaching the
+            # minimum over S, at its first cheapest location of S.
+            s_index = tuple(s_coords.T)
+            costs = np.stack([self.space.plans[int(plan_id)].cost[s_index]
+                              for plan_id in spilling])
+            row, pick = divmod(int(np.argmin(costs)), costs.shape[1])
+            best = (float(costs[row, pick]),
+                    self.space.plans[int(spilling[row])],
+                    tuple(int(c) for c in s_coords[pick]))
         # One constrained-optimizer probe at the cheapest-opt location of S.
         probe = self._constrained_probe(s_coords, leader, remaining_key)
         if probe is not None:
@@ -260,9 +228,24 @@ class AlignedBound(SpillBound):
             self._constrained_cache[key] = info.id
             plan_id = info.id
         plan = self.space.plans[plan_id]
-        if self._spill_target(plan.id, remaining_key) != leader:
+        table = self.space.spill_targets(remaining_key)
+        if table[plan_id] != self.space.query.epp_index(leader):
             return None
         return float(plan.cost[location]), plan, location
+
+
+class _PartitionSteps(tuple):
+    """A partition's pass steps ``(leader, plan, node, budget)`` in
+    leader order, with the parts and their summed penalty kept for the
+    per-pass ``max_penalty`` extra and ``psa-partition`` event."""
+
+    def __new__(cls, parts, epp_index):
+        ordered = sorted(parts, key=lambda p: epp_index(p.leader))
+        steps = super().__new__(cls, [(p.leader, p.plan, p.node, p.budget)
+                                      for p in ordered])
+        steps.parts = parts
+        steps.penalty = sum(p.penalty for p in parts)
+        return steps
 
 
 def _lex_pick(coords):

@@ -75,8 +75,9 @@ class SpillBound(RobustAlgorithm):
     def __init__(self, space, contours=None):
         super().__init__(space)
         self.contours = contours or ContourSet(space)
-        # spill-target cache: (plan_id, remaining-frozenset) -> epp | None
-        self._target_cache = {}
+        #: Per-state pass plans: (contour, pinned dims, remaining epps)
+        #: -> the pass's steps (see :meth:`_pass_plan`).
+        self._pass_cache = {}
 
     def mso_guarantee(self):
         """Theorem 4.5: ``D^2 + 3D`` (generalised to the contour ratio)."""
@@ -124,16 +125,7 @@ class SpillBound(RobustAlgorithm):
         Returns True when some epp was fully learnt (Algorithm 1 then
         re-enters the same contour with the shrunken EPP set).
         """
-        members = self.contours.members(i, fixed=state.resolved)
-        if members.is_empty:
-            return False
-        remaining_key = frozenset(state.remaining)
-        budget = self.contours.cost(i)
-        for epp in sorted(state.remaining, key=self.space.query.epp_index):
-            choice = self._choose_spill_plan(members, epp, remaining_key)
-            if choice is None:
-                continue  # no plan on this contour spills on epp: skip
-            plan, node = choice
+        for epp, plan, node, budget in self._pass_plan(state, i):
             repeat = (i, epp) in state.executed
             state.executed.add((i, epp))
             outcome = engine.execute_spill(plan, epp, node, budget)
@@ -156,50 +148,48 @@ class SpillBound(RobustAlgorithm):
             state.sync(i)
         return False
 
-    def _choose_spill_plan(self, members, epp, remaining_key):
-        """``P^j_max`` of §3.2: the plan at the max-coordinate location
-        (along ``epp``'s dimension) among members spilling on ``epp``."""
-        dim = self.space.query.epp_index(epp)
-        targets = np.array([
-            self._spill_target(int(pid), remaining_key) == epp
-            for pid in members.plan_ids
-        ])
-        if not targets.any():
-            return None
-        coords = members.coords[targets]
-        plan_ids = members.plan_ids[targets]
-        along = coords[:, dim]
-        peak = along == along.max()
-        # Deterministic tie-break: lexicographically largest coordinates.
-        candidates = coords[peak]
-        candidate_ids = plan_ids[peak]
-        order = np.lexsort(candidates.T[::-1])
-        pick = order[-1]
-        plan = self.space.plans[int(candidate_ids[pick])]
-        target = plan.spill_target(remaining_key)
-        return plan, target[1]
+    def _pass_plan(self, state, i):
+        """The steps ``(epp, plan, node, budget)`` of a pass over ``i``.
 
-    def _spill_target(self, plan_id, remaining_key):
-        key = (plan_id, remaining_key)
-        if key not in self._target_cache:
-            target = self.space.plans[plan_id].spill_target(remaining_key)
-            self._target_cache[key] = target[0] if target else None
-        return self._target_cache[key]
+        What a pass executes depends only on the discovery state -- the
+        contour, the exactly learnt dimensions and the epps left --
+        never on the hidden truth (the certified lower bounds in
+        ``qrun`` play no part in the choice), so each state is planned
+        once per instance and every later run reaching it replays the
+        plan. Subclasses override :meth:`_build_pass_plan`, not this lookup.
+        """
+        key = (i, tuple(sorted(state.resolved.items())),
+               frozenset(state.remaining))
+        steps = self._pass_cache.get(key)
+        if steps is None:
+            steps = self._pass_cache[key] = self._build_pass_plan(*key)
+        return steps
+
+    def _build_pass_plan(self, i, fixed_key, remaining_key):
+        """Plan one state's pass: ``P^j_max`` per unresolved epp."""
+        members = self.contours.members(i, fixed=dict(fixed_key))
+        if members.is_empty:
+            return ()
+        return _SpillSteps(self.space, members, remaining_key,
+                           self.contours.cost(i))
 
     # ------------------------------------------------------------------
     # 1-D endgame (classical PlanBouquet, regular executions)
 
     def _one_d_phase(self, engine, state, start_contour):
+        # Every other dimension is pinned, so each rung's frontier lies
+        # on one line; its pick (the largest remaining-dim coordinate,
+        # for determinism) comes from the contour set's cached ladder.
+        dim = self.space.query.epp_index(next(iter(state.remaining)))
+        picks = self.contours.line_picks(state.resolved)
+        location = [state.resolved.get(d, 0)
+                    for d in range(self.space.grid.dims)]
         for k in range(start_contour, len(self.contours)):
             state.sync(k)
-            members = self.contours.members(k, fixed=state.resolved)
-            if members.is_empty:
+            if picks[k] < 0:
                 continue
-            # The 1-D frontier is a single crossing point; pick the
-            # largest remaining-dim coordinate for determinism.
-            dim = self.space.query.epp_index(next(iter(state.remaining)))
-            pick = int(np.argmax(members.coords[:, dim]))
-            plan = self.space.plans[int(members.plan_ids[pick])]
+            location[dim] = int(picks[k])
+            plan = self.space.optimal_plan(tuple(location))
             budget = self.contours.cost(k)
             outcome = engine.execute(plan, budget)
             state.charge(ExecutionRecord(
@@ -238,6 +228,67 @@ class SpillBound(RobustAlgorithm):
             raise DiscoveryError(
                 "terminal execution failed: cost surface violates PCM"
             )
+
+
+class _SpillSteps:
+    """SpillBound's plan for one state's pass over a contour.
+
+    One ``(epp, P^j_max, spill node, budget)`` step per unresolved epp
+    (in epp order) that some member plan spills on. Each choice is made
+    when an iteration first reaches it -- a completed spill ends a pass
+    before the later epps -- and every iteration replays the steps
+    chosen so far. Holds no reference to the algorithm, so a cached plan
+    forms no reference cycle with the instance that caches it.
+    """
+
+    __slots__ = ("space", "members", "remaining", "budget", "pending",
+                 "steps")
+
+    def __init__(self, space, members, remaining, budget):
+        self.space = space
+        self.members = members
+        self.remaining = remaining
+        self.budget = budget
+        self.pending = sorted(remaining, key=space.query.epp_index)
+        self.steps = []
+
+    def __iter__(self):
+        steps = self.steps
+        j = 0
+        while True:
+            while j == len(steps):
+                if not self.pending:
+                    return
+                epp = self.pending[0]
+                choice = _choose_spill_plan(self.space, self.members, epp,
+                                            self.remaining)
+                del self.pending[0]
+                if choice is not None:  # else no member spills on epp
+                    steps.append((epp, choice[0], choice[1], self.budget))
+            yield steps[j]
+            j += 1
+
+
+def _choose_spill_plan(space, members, epp, remaining):
+    """``P^j_max`` of §3.2: the plan at the max-coordinate location
+    (along ``epp``'s dimension) among members spilling on ``epp``;
+    ``(plan, spill node)`` or ``None`` when no member spills on it."""
+    dim = space.query.epp_index(epp)
+    targets = space.spill_targets(remaining)[members.plan_ids] == dim
+    if not targets.any():
+        return None
+    coords = members.coords[targets]
+    plan_ids = members.plan_ids[targets]
+    along = coords[:, dim]
+    peak = along == along.max()
+    # Deterministic tie-break: lexicographically largest coordinates.
+    candidates = coords[peak]
+    candidate_ids = plan_ids[peak]
+    order = np.lexsort(candidates.T[::-1])
+    pick = order[-1]
+    plan = space.plans[int(candidate_ids[pick])]
+    target = plan.spill_target(remaining)
+    return plan, target[1]
 
 
 class _DiscoveryState:

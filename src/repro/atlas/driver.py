@@ -35,7 +35,7 @@ from repro.common.errors import DiscoveryError
 from repro.ess.regimes import REGIMES, split_regime_name
 from repro.harness.workloads import suite_of, workload
 from repro.session import RobustSession, SweepDriver
-from repro.session.sweep import session_reuse_summary
+from repro.session.sweep import add_counters, session_reuse_summary
 
 #: Reduced default suite: one skeleton per benchmark family plus the
 #: paper's traced 2D query, small enough for a blocking CI gate.
@@ -169,11 +169,14 @@ class AtlasUnit:
 class AtlasResult:
     """Everything one atlas run produced, summary-ready."""
 
-    def __init__(self, config, units, session, journal_stats=None):
+    def __init__(self, config, units, session, journal_stats=None,
+                 worker_reuse=None):
         self.config = config
         self.units = units
         self.session = session
         self.journal_stats = journal_stats
+        #: Reuse counters accrued inside ``--workers`` pool processes.
+        self.worker_reuse = worker_reuse or {}
 
     def stats(self):
         """Volatile run accounting: reuse counters + journal stats.
@@ -182,7 +185,8 @@ class AtlasResult:
         processes warm their own caches, so these counters differ
         between serial and parallel runs of the same config.
         """
-        payload = {"reuse": session_reuse_summary(self.session)}
+        payload = {"reuse": add_counters(
+            session_reuse_summary(self.session), self.worker_reuse)}
         if self.journal_stats is not None:
             payload["journal"] = dict(self.journal_stats)
         return payload
@@ -227,6 +231,7 @@ def run_atlas(config, journal_dir=None, resume=False, workers=None,
     total = len(config.resolutions) * len(names) * len(algorithms)
     units = []
     journal_stats = None
+    worker_reuse = {}
     for resolution in config.resolutions:
         journal = None
         if journal_dir is not None:
@@ -253,6 +258,7 @@ def run_atlas(config, journal_dir=None, resume=False, workers=None,
             units.append(unit)
             if progress is not None:
                 progress(len(units), total, unit.key)
+        add_counters(worker_reuse, driver.worker_reuse)
         if driver.journal_stats is not None:
             stats = driver.journal_stats
             if journal_stats is None:
@@ -262,7 +268,8 @@ def run_atlas(config, journal_dir=None, resume=False, workers=None,
             journal_stats["executed"] += stats.executed
             journal_stats["truncated_records"] += stats.truncated_records
     return AtlasResult(config, units, session,
-                       journal_stats=journal_stats)
+                       journal_stats=journal_stats,
+                       worker_reuse=worker_reuse)
 
 
 def collect_exhibits(result, limit=6):

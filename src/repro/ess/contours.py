@@ -65,6 +65,7 @@ class ContourSet:
         self.ratio = ratio
         self.costs = _contour_costs(space.c_min, space.c_max, ratio)
         self._slice_cache = {}
+        self._line_picks = {}
         # Contour membership depends only on (budget cost, pinned dims),
         # never on the ratio that produced the ladder -- so slices are
         # shared at space level and a rebuild with a different ratio
@@ -108,6 +109,40 @@ class ContourSet:
                 self._shared_slices.popitem(last=False)
         self._slice_cache[key] = slice_
         return slice_
+
+    def line_picks(self, fixed):
+        """Every rung's frontier pick along the one unpinned dimension.
+
+        ``fixed`` pins all dimensions but one, so each contour's members
+        lie on one line of the grid. Entry ``k`` of the returned ``(m,)``
+        int array is the free-dimension index of contour ``k``'s member
+        with the largest free coordinate -- what ``members(k, fixed)``
+        plus an argmax along the free dimension returns -- or ``-1`` when
+        the rung has no member. All ``m`` rungs are resolved at once as
+        one ``(m x r)`` staircase frontier over the ``opt_cost`` line,
+        with :func:`_frontier_mask`'s semantics (no PCM assumption), and
+        the answer is cached per pinned assignment.
+        """
+        fixed_key = tuple(sorted(fixed.items()))
+        picks = self._line_picks.get(fixed_key)
+        if picks is not None:
+            return picks
+        dims = self.space.grid.dims
+        if dims - len(fixed) != 1:
+            raise DiscoveryError(
+                "line_picks needs exactly one unpinned dimension "
+                "(%d of %d pinned)" % (len(fixed), dims))
+        line = self.space.opt_cost[tuple(
+            fixed.get(d, slice(None)) for d in range(dims))]
+        budgets = np.asarray(self.costs, dtype=float)[:, None]
+        # Row k is _frontier_mask(line, CC_k): under budget and the next
+        # cell over it; the line's last cell only needs to fit.
+        mask = line[None, :] <= budgets
+        mask[:, :-1] &= line[None, 1:] > budgets
+        last = line.shape[0] - 1 - np.argmax(mask[:, ::-1], axis=1)
+        picks = np.where(mask.any(axis=1), last, -1)
+        self._line_picks[fixed_key] = picks
+        return picks
 
     def rebuild(self, ratio):
         """A new ContourSet over the same space with a different ladder.

@@ -158,6 +158,9 @@ class ExplorationSpace:
         #: Memoized per-location optimizer results, shared by every
         #: algorithm instance over this space (kernel mode only).
         self._dp_memo = OrderedDict()
+        #: remaining-epp frozenset -> spill-target table (see
+        #: :meth:`spill_targets`).
+        self._spill_tables = {}
 
     @property
     def kernel(self):
@@ -229,6 +232,19 @@ class ExplorationSpace:
         self.plans.append(info)
         self._signatures[signature] = info
         return info
+
+    def spill_targets(self, remaining):
+        """Spill-target table of every registered plan for ``remaining``.
+
+        One int array indexed by plan id: the epp index (dimension) of
+        :meth:`PlanInfo.spill_target`'s pick, or ``-1`` when the plan
+        cannot spill on any of ``remaining`` (a frozenset of epp names).
+        Built once per remaining set and extended when plans have been
+        registered since, so ``table[plan_ids] == dim`` answers "which
+        of these plans spill on ``dim``" in one vectorised lookup.
+        """
+        return spill_target_table(self._spill_tables, self.plans,
+                                  self.query, remaining)
 
     def optimize_at(self, index, spilling_on=None):
         """Exact DP call at a grid index; returns an :class:`OptimizedPlan`.
@@ -450,6 +466,27 @@ class ExplorationSpace:
             len(self.plans),
             status,
         )
+
+
+def spill_target_table(tables, plans, query, remaining):
+    """``tables[remaining]``, extended to cover every plan in ``plans``.
+
+    The shared body of ``spill_targets`` for every space flavour:
+    ``tables`` is the space's own memo dict, and only plans registered
+    since the table was last read are evaluated.
+    """
+    table = tables.get(remaining)
+    done = 0 if table is None else table.shape[0]
+    if done < len(plans):
+        fresh = []
+        for info in plans[done:]:
+            target = info.spill_target(remaining)
+            fresh.append(-1 if target is None
+                         else query.epp_index(target[0]))
+        fresh = np.array(fresh, dtype=np.int64)
+        table = fresh if table is None else np.concatenate([table, fresh])
+        tables[remaining] = table
+    return table
 
 
 def default_resolution(dims):

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.common.errors import DiscoveryError
 from repro.ess.grid import SelectivityGrid
-from repro.ess.space import PlanInfo
+from repro.ess.space import PlanInfo, spill_target_table
 
 
 class _SyntheticQuery:
@@ -113,6 +113,7 @@ class SyntheticSpace:
         self.grid = grid or SelectivityGrid(dims, resolution, s_min=s_min)
         self.cost_model = _SyntheticCostModel(self.query)
         self.plans = []
+        self._spill_tables = {}
         self._build(plans, validate_pcm)
         self.built = True
 
@@ -166,6 +167,12 @@ class SyntheticSpace:
 
     def optimal_plan(self, index):
         return self.plans[int(self.plan_at[index])]
+
+    def spill_targets(self, remaining):
+        """Per-plan spill-target table (see
+        :meth:`~repro.ess.space.ExplorationSpace.spill_targets`)."""
+        return spill_target_table(self._spill_tables, self.plans,
+                                  self.query, remaining)
 
     def optimize_at(self, index, spilling_on=None):
         """Constrained optimizer hook: synthetic spaces cannot invent

@@ -60,7 +60,8 @@ from repro.robustness.durable import CircuitBreaker, Deadline, \
     SweepJournal
 from repro.session.registry import BreakerBoard
 from repro.session.sweep import SweepRecord, _sweep_from_payload, \
-    _sweep_payload, spec_engine_factory
+    _sweep_payload, add_counters, bank_reuse_summary, \
+    session_reuse_summary, spec_engine_factory
 
 #: Outstanding chunk tasks per worker; bounds how far dispatch runs
 #: ahead of the deadline watchdog (and journal commit order).
@@ -176,6 +177,30 @@ def _init_worker(config):
         "algorithms": {},
         "factories": {},
     })
+    _WORKER["reuse_base"] = _reuse_totals()
+
+
+def _reuse_totals():
+    """Reuse counters of everything this worker's runs touch: its own
+    session, plus the plan bank of each space it inherited by fork (the
+    parent's bank, copied, so its counters start at the parent's)."""
+    session = _WORKER["session"]
+    totals = session_reuse_summary(session)
+    seen = {id(getattr(session.cache, "bank", None))}
+    for space, _contours in _WORKER["artifacts"].values():
+        bank = getattr(space, "bank", None)
+        if bank is None or id(bank) in seen:
+            continue
+        seen.add(id(bank))
+        add_counters(totals, bank_reuse_summary(bank))
+    return totals
+
+
+def _worker_reuse():
+    """The reuse counters this worker accrued since it started."""
+    base = _WORKER["reuse_base"]
+    return {key: value - base.get(key, 0)
+            for key, value in _reuse_totals().items()}
 
 
 def _expired_deadline(reason):
@@ -249,8 +274,8 @@ def _run_chunk(task):
 
     The return value carries everything the parent's in-order merge
     needs: ``(position, sub_optimality, degraded, reason, obs, charge)``
-    per location, plus this worker's breaker accounting (latest snapshot
-    wins per pid).
+    per location, plus this worker's breaker and reuse accounting
+    (cumulative, so the latest snapshot wins per pid).
     """
     config = _WORKER["config"]
     driver = config["driver"]
@@ -292,7 +317,8 @@ def _run_chunk(task):
     if board is not None:
         breakers["board"] = board.export()
     return {"unit": unit_index, "chunk": task["chunk"],
-            "records": records, "pid": os.getpid(), "breakers": breakers}
+            "records": records, "pid": os.getpid(), "breakers": breakers,
+            "reuse": _worker_reuse()}
 
 
 # ----------------------------------------------------------------------
@@ -458,7 +484,7 @@ def parallel_run(driver, queries, algorithms):
                 tasks.append({"unit": index, "chunk": chunk_index,
                               "locs": locs})
 
-        breaker_exports = {}
+        breaker_exports, reuse_exports = {}, {}
         deadline = driver.deadline
         inflight = {}
         window = driver.workers * WINDOW_PER_WORKER
@@ -484,6 +510,7 @@ def parallel_run(driver, queries, algorithms):
                 plan.received[outcome["chunk"]] = outcome["records"]
                 plan.done_locations += len(outcome["records"])
                 breaker_exports[outcome["pid"]] = outcome["breakers"]
+                reuse_exports[outcome["pid"]] = outcome["reuse"]
                 if deadline is not None:
                     for *_rest, charge in outcome["records"]:
                         deadline.charge(charge)
@@ -531,6 +558,8 @@ def parallel_run(driver, queries, algorithms):
             while inflight:
                 pump(pool)
         _fold_breakers(driver, breaker_exports)
+        for counters in reuse_exports.values():
+            add_counters(driver.worker_reuse, counters)
     finally:
         _FORK_ARTIFACTS.clear()
         if journal is not None:

@@ -99,13 +99,25 @@ def session_reuse_summary(session):
     }
     bank = getattr(session.cache, "bank", None)
     if bank is not None:
-        summary.update({
-            "surface_hits": bank.stats.surface_hits,
-            "surface_misses": bank.stats.surface_misses,
-            "dp_result_hits": bank.stats.plan_hits,
-            "dp_result_misses": bank.stats.plan_misses,
-        })
+        summary.update(bank_reuse_summary(bank))
     return summary
+
+
+def add_counters(total, counters):
+    """Add ``counters`` into ``total`` key by key; returns ``total``."""
+    for key, value in counters.items():
+        total[key] = total.get(key, 0) + value
+    return total
+
+
+def bank_reuse_summary(bank):
+    """The plan-bank half of :func:`session_reuse_summary`."""
+    return {
+        "surface_hits": bank.stats.surface_hits,
+        "surface_misses": bank.stats.surface_misses,
+        "dp_result_hits": bank.stats.plan_hits,
+        "dp_result_misses": bank.stats.plan_misses,
+    }
 
 
 class SweepRecord:
@@ -248,6 +260,9 @@ class SweepDriver:
         #: Driver-level metrics folded from every unit's ``obs``
         #: snapshot (``None`` until a unit reports one).
         self.obs = None
+        #: Reuse counters that ``workers > 1`` runs accrued inside their
+        #: worker processes (see :meth:`reuse_summary`).
+        self.worker_reuse = {}
 
     def obs_summary(self):
         """Aggregated observability snapshot across all units so far."""
@@ -280,9 +295,13 @@ class SweepDriver:
         DP memo, one surface set and one contour-slice cache); the bank
         additionally shares plan costings across resolutions. These
         counters quantify how much of the sweep's work was served from
-        that reuse instead of recomputed.
+        that reuse instead of recomputed. Work done inside ``workers > 1``
+        pool processes counts too: each worker reports its own counters
+        with every chunk and the parent folds them into
+        :attr:`worker_reuse`.
         """
-        return session_reuse_summary(self.session)
+        return add_counters(session_reuse_summary(self.session),
+                            self.worker_reuse)
 
     def algorithm(self, algorithm, query):
         """Instantiate ``algorithm`` over the cached artifacts."""

@@ -92,11 +92,11 @@ class TestExecution:
     def test_analysis_cache_reused(self, toy_space, toy_contours):
         ab = AlignedBound(toy_space, toy_contours)
         ab.run((5, 5))
-        size_after_first = len(ab._analysis_cache)
+        size_after_first = len(ab._pass_cache)
         ab.run((5, 6))
         # Shared prefix contours come from the cache; it grows by at
         # most the new states, never resets.
-        assert len(ab._analysis_cache) >= size_after_first
+        assert len(ab._pass_cache) >= size_after_first
 
     def test_penalty_cap_falls_back_cleanly(self, toy_space_3d,
                                             toy_contours_3d):

@@ -242,6 +242,19 @@ class TestBreakers:
                               parallel[0].sweep.sub_optimalities)
 
 
+class TestReuseCounters:
+    def test_worker_reuse_counters_reach_the_parent(self):
+        # AlignedBound's constrained probes run inside the workers; their
+        # DP misses must show in the parent's summary, as serially.
+        serial = SweepDriver(_session())
+        _records(serial, algorithms=("alignedbound",))
+        assert serial.reuse_summary()["dp_result_misses"] > 0
+        driver = SweepDriver(_session(), workers=2)
+        _records(driver, algorithms=("alignedbound",))
+        assert driver.reuse_summary()["dp_result_misses"] > 0
+        assert driver.worker_reuse["dp_result_misses"] > 0
+
+
 class TestLatencyLayer:
     def test_latency_layer_parses_and_builds(self):
         spec = EngineSpec.parse("simulated+latency(ms=5)")
